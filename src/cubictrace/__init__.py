@@ -3,12 +3,12 @@ toric height, classification by root field, and verification that the counts
 per height match ideal counts in Q(sqrt(-3))."""
 
 from .arith import chi3, divisors, factorize, is_prime
-from .eisenstein import (IdealCountTable, formula3_count, ideal_count,
-                         ideal_count_oracle, p1_part, series_coeff)
+from .eisenstein import (formula3_count, ideal_count, ideal_count_oracle,
+                         p1_part, series_coeff)
 from .enumeration import (EnumerationRow, b_range, enumerate_all,
                           enumerate_field, min_height, polys_for_a)
-from .fields import (FieldClass, conductor_of, field_invariants,
-                     is_isomorphic, splitting_subgroup)
+from .fields import (FieldClass, conductor_of, cubic_character,
+                     field_invariants, is_isomorphic)
 from .padic import (InconsistencyError, SplittingType, dedekind_index_test,
                     lift_root_unramified, lift_root_zp, roots_mod_p,
                     splitting_type, valuation)
@@ -22,12 +22,12 @@ __version__ = "1.0.0"
 
 __all__ = [
     "chi3", "divisors", "factorize", "is_prime",
-    "IdealCountTable", "formula3_count", "ideal_count", "ideal_count_oracle",
-    "p1_part", "series_coeff",
+    "formula3_count", "ideal_count", "ideal_count_oracle", "p1_part",
+    "series_coeff",
     "EnumerationRow", "b_range", "enumerate_all", "enumerate_field",
     "min_height", "polys_for_a",
-    "FieldClass", "conductor_of", "field_invariants", "is_isomorphic",
-    "splitting_subgroup",
+    "FieldClass", "conductor_of", "cubic_character", "field_invariants",
+    "is_isomorphic",
     "InconsistencyError", "SplittingType", "dedekind_index_test",
     "lift_root_unramified", "lift_root_zp", "roots_mod_p", "splitting_type",
     "valuation",

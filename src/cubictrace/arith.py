@@ -1,5 +1,5 @@
 """Exact integer arithmetic: factorization, divisor machinery, the cubic
-residue character mod 3, and multiplicative closure in (Z/c)*.
+residue character mod 3, and an ascending prime generator.
 
 Everything here is pure Python integer arithmetic (arbitrary precision),
 deterministic, and safe to call concurrently.
@@ -154,35 +154,6 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
-
-
-def subgroup_closure(c: int, generators: set[int] | frozenset[int]) -> set[int]:
-    """Smallest subgroup of (Z/c)* containing the given residues.
-
-    Breadth-first closure under multiplication; every generator must be
-    coprime to c.
-    """
-    gens = [g % c for g in generators]
-    for g in gens:
-        if math.gcd(g, c) != 1:
-            raise ValueError(f"generator {g} is not coprime to modulus {c}")
-    closure = {1 % c}
-    frontier = [1 % c]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x * g % c
-            if y not in closure:
-                closure.add(y)
-                frontier.append(y)
-    return closure
-
-
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize(n):
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
 
 
 def primes():

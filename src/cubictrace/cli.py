@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-norm", type=_positive, required=True)
     p.add_argument("--nonzero-only", action="store_true",
                    help="omit rows with no polynomials")
-    p.add_argument("--threads", type=_positive, default=1)
     add_format(p)
     p.set_defaults(func=cmd_enumerate)
 

@@ -3,8 +3,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import chi3, divisors, factorize
 
 
@@ -59,18 +57,3 @@ def mod2_part_is_square(n: int) -> bool:
     """Whether the part of n supported on primes = 2 mod 3 is a perfect square."""
     return all(k % 2 == 0 for p, k in factorize(n) if p % 3 == 2)
 
-
-@dataclass(frozen=True)
-class IdealCountTable:
-    """d_N for N = 1 .. max_n."""
-
-    max_n: int
-    counts: tuple[int, ...]
-
-    @classmethod
-    def build(cls, max_n: int, oracle: bool = False) -> "IdealCountTable":
-        fn = ideal_count_oracle if oracle else ideal_count
-        return cls(max_n, tuple(fn(n) for n in range(1, max_n + 1)))
-
-    def __getitem__(self, n: int) -> int:
-        return self.counts[n - 1]

@@ -2,7 +2,7 @@
 
 Enumeration is driven by the t-coefficient a: for fixed a the positive
 discriminant condition confines b to a finite interval, which is scanned
-exactly.  Field membership uses the (conductor, splitting subgroup) key.
+exactly.  Field membership uses the (conductor, cubic character) key.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 from .eisenstein import series_coeff
 from .fields import FieldClass, field_invariants
+from .padic import InconsistencyError
 from .poly import TraceOnePoly, discriminant, is_cyclic, is_irreducible
 
 _NUMPY_MIN_LEN = 64
@@ -79,7 +80,9 @@ def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...
     for b in _square_disc_bs(a):
         f = TraceOnePoly(a, b)
         if is_irreducible(f):
-            assert is_cyclic(f)
+            if not is_cyclic(f):
+                raise InconsistencyError(
+                    f"{f} has a square discriminant but is not cyclic")
             out.append((f, field_invariants(f)))
     return tuple(out)
 
@@ -134,8 +137,9 @@ def min_height(k: FieldClass, n_limit: int = 64) -> int:
         row = _row(k, n)
         if row.count:
             h2 = k.conductor * n
-            assert h2 == k.conductor, (
-                f"minimal height {h2} differs from conductor {k.conductor}")
+            if h2 != k.conductor:
+                raise InconsistencyError(
+                    f"minimal height {h2} differs from conductor {k.conductor}")
             return h2
     raise RuntimeError(
         f"no member of conductor-{k.conductor} class found up to N = {n_limit}")

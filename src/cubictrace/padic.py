@@ -366,7 +366,9 @@ def dedekind_index_test(f: TraceOnePoly, p: int) -> bool:
             gh[i + j] += x * y
     f_int = [f.b, f.a, -1, 1]
     diff = [x - y for x, y in zip(gh + [0] * (4 - len(gh)), f_int)]
-    assert all(c % p == 0 for c in diff)
+    if any(c % p for c in diff):
+        raise InconsistencyError(
+            f"g*h differs from {f} mod {p} in Dedekind's criterion")
     tbar = _pnorm([c // p for c in diff], p)
     d = _pgcd(_pgcd(tbar, radical, p), hbar, p)
     return len(d) > 1

@@ -4,7 +4,6 @@ and run the numeric quotient-norm proportionality check."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .eisenstein import (formula3_count, ideal_count, mod2_part_is_square,
@@ -127,10 +126,10 @@ def verify_formula3(k: FieldClass, n_max: int) -> VerificationReport:
     true ideal count cross-checked.  A divergence at any other N fails.
     """
     report = VerificationReport(f"formula3[{k}, N<={n_max}]")
-    for n in range(1, n_max + 1):
+    for row in enumerate_field(k, n_max):
+        n, count = row.n, row.count
         if n % 3 != 1:
             continue  # not realizable as (1-3a)/sqrt(D_K)
-        count = enumerate_field(k, n)[n - 1].count
         formula = formula3_count(n)
         if formula == count:
             report.add(f"N={n}", formula, count)

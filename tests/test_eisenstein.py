@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cubictrace.eisenstein import (IdealCountTable, formula3_count,
-                                   ideal_count, ideal_count_oracle,
-                                   mod2_part_is_square, p1_part, series_coeff)
+from cubictrace.eisenstein import (formula3_count, ideal_count,
+                                   ideal_count_oracle, mod2_part_is_square,
+                                   p1_part, series_coeff)
 
 
 class TestIdealCount:
@@ -81,9 +81,3 @@ class TestFormula3:
         assert not mod2_part_is_square(10)
         assert not mod2_part_is_square(22)
 
-
-class TestTable:
-    def test_build_and_index(self):
-        table = IdealCountTable.build(100)
-        assert table[1] == 1 and table[91] == 4 and table[97] == 2
-        assert table.counts == IdealCountTable.build(100, oracle=True).counts

@@ -1,11 +1,14 @@
+import itertools
 import os
 
 import pytest
 
-from cubictrace.fields import (FieldClass, conductor_of, field_invariants,
-                               is_isomorphic, splitting_subgroup)
+from cubictrace.enumeration import enumerate_all
+from cubictrace.fields import (FieldClass, conductor_of, cubic_character,
+                               field_invariants, is_isomorphic)
 from cubictrace.padic import InconsistencyError
 from cubictrace.poly import TraceOnePoly
+from oracles import euler_phi, split_prime_closure
 
 
 class TestConductor:
@@ -24,26 +27,60 @@ class TestConductor:
 
 class TestSplittingSubgroup:
     def test_k49(self):
-        assert splitting_subgroup(TraceOnePoly(-2, 1)) == {1, 6}
+        assert cubic_character(TraceOnePoly(-2, 1)) == (1,)
+        assert field_invariants(TraceOnePoly(-2, 1)).subgroup == {1, 6}
 
     def test_k169(self):
-        assert splitting_subgroup(TraceOnePoly(-4, -1)) == {1, 5, 8, 12}
+        assert cubic_character(TraceOnePoly(-4, -1)) == (1,)
+        assert field_invariants(TraceOnePoly(-4, -1)).subgroup == {1, 5, 8, 12}
 
     def test_stable_under_defining_poly(self):
-        assert (splitting_subgroup(TraceOnePoly(-37, 29))
-                == splitting_subgroup(TraceOnePoly(-2, 1)))
+        assert (cubic_character(TraceOnePoly(-37, 29))
+                == cubic_character(TraceOnePoly(-2, 1)))
+        assert (cubic_character(TraceOnePoly(-30, -27))
+                != cubic_character(TraceOnePoly(-30, 64)))
 
     def test_prime_bound_exhaustion(self):
         with pytest.raises(RuntimeError):
-            splitting_subgroup(TraceOnePoly(-2, 1), max_prime=2)
+            cubic_character(TraceOnePoly(-2, 1), max_prime=2)
 
     def test_env_var_override(self):
         os.environ["CUBICTRACE_MAX_PRIME"] = "2"
         try:
             with pytest.raises(RuntimeError):
-                splitting_subgroup(TraceOnePoly(-30, -53))
+                cubic_character(TraceOnePoly(-30, -53))
         finally:
             del os.environ["CUBICTRACE_MAX_PRIME"]
+
+    def test_wrong_conductor_is_inconsistent(self):
+        f = TraceOnePoly(-2, 1)
+        with pytest.raises(InconsistencyError, match="matches the inert prime 5"):
+            cubic_character(f, conductor=13)
+        with pytest.raises(InconsistencyError, match="7 ramified"):
+            cubic_character(f, conductor=19)
+        with pytest.raises(InconsistencyError, match="not the conductor"):
+            cubic_character(f, conductor=14)
+
+    def test_large_conductor(self):
+        # c = 75000001 = 67 * 1119403, keyed without building its subgroup
+        k = field_invariants(TraceOnePoly(-100000001, -383055560663))
+        assert k.conductor == 75000001 and len(k.character) == 2
+
+    def test_matches_split_prime_closure(self):
+        census = enumerate_all(-500)
+        c91 = [k for k in census if k.conductor == 91]
+        assert {field_invariants(TraceOnePoly(-30, -27)),
+                field_invariants(TraceOnePoly(-30, 64))} == set(c91)
+        subgroups = {}
+        for k, polys in census.items():
+            sub = k.subgroup
+            assert sub == split_prime_closure(polys[0], k.conductor)
+            assert len(sub) * 3 == euler_phi(k.conductor)
+            assert (-1) % k.conductor in sub
+            subgroups[k] = sub
+        for k1, k2 in itertools.combinations(census, 2):
+            f, g = census[k1][0], census[k2][0]
+            assert is_isomorphic(f, g) is (subgroups[k1] == subgroups[k2])
 
 
 class TestFieldClass:
@@ -61,7 +98,6 @@ class TestFieldClass:
             assert (-1) % k.conductor in k.subgroup
 
     def test_subgroup_index_three(self):
-        from cubictrace.arith import euler_phi
         for f in (TraceOnePoly(-2, 1), TraceOnePoly(-30, -27)):
             k = field_invariants(f)
             assert euler_phi(k.conductor) == 3 * len(k.subgroup)
@@ -72,10 +108,11 @@ class TestFieldClass:
         assert field_invariants(TraceOnePoly(-4, -1)).canonical_poly \
             == TraceOnePoly(-4, -1)
 
-    def test_interning(self):
+    def test_equality_and_hash(self):
         k1 = field_invariants(TraceOnePoly(-2, 1))
         k2 = field_invariants(TraceOnePoly(-37, 29))
-        assert k1 is k2
+        assert k1 == k2 and hash(k1) == hash(k2)
+        assert k1 == FieldClass(7, (1,))
 
     def test_to_json(self):
         d = field_invariants(TraceOnePoly(-2, 1)).to_json()
