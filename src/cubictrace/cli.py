@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .eisenstein import ideal_count, ideal_count_oracle, series_coeff
@@ -160,8 +161,23 @@ def _positive(text: str) -> int:
     return n
 
 
+_NEGATIVE_PAIR = re.compile(r"-\d+,")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse takes a token that starts with '-' for an option unless it
+    looks like a negative number.  A token that starts like an 'a,b' pair
+    with a < 0 (say -2,1) is a polynomial, so it is read as a value, for
+    --poly/--field and as a positional alike; parse_poly judges the rest."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_PAIR.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cubictrace",
         description="Cyclic trace-one cubics: enumeration by toric height, "
                     "field classification, and ideal-count verification.")

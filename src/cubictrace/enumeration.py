@@ -1,8 +1,11 @@
 """Exhaustive enumeration of cyclic trace-one cubics.
 
-Enumeration is driven by the t-coefficient a: for fixed a the positive
-discriminant condition confines b to a finite interval, which is scanned
-exactly.  Field membership uses the (conductor, cubic character) key.
+Enumeration is driven by the t-coefficient a.  With h = 1 - 3a, the b whose
+discriminant is a nonzero square correspond to the elements of norm h^3 in
+Z[w], which are generated from the factorization of h (Cornacchia for each
+split prime) instead of testing every b in the interval b_range(a).  Each
+such cubic is then checked for irreducibility and cyclicity and classified
+by its (conductor, cubic character) key.
 """
 
 from __future__ import annotations
@@ -11,15 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-import numpy as np
-
+from .arith import factorize
 from .eisenstein import series_coeff
 from .fields import FieldClass, field_invariants
-from .padic import InconsistencyError
+from .padic import InconsistencyError, _sqrt_mod_p
 from .poly import TraceOnePoly, discriminant, is_cyclic, is_irreducible
-
-_NUMPY_MIN_LEN = 64
-_INT64_SAFE = 2**62
 
 
 def b_range(a: int) -> range:
@@ -45,35 +44,111 @@ def b_range(a: int) -> range:
     return range(lo, hi + 1)
 
 
+def _mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """Product in Z[w], elements x + y*w written (x, y), with w^2 = -1 - w."""
+    (x1, y1), (x2, y2) = u, v
+    return (x1 * x2 - y1 * y2, x1 * y2 + x2 * y1 - y1 * y2)
+
+
+def _conj(u: tuple[int, int]) -> tuple[int, int]:
+    x, y = u
+    return (x - y, -y)
+
+
+def _cornacchia(p: int) -> tuple[int, int]:
+    """An element of Z[w] of norm p, for a prime p = 1 (mod 3).
+
+    Cornacchia's algorithm (Cohen, GTM 138, 1.5.2) solves u^2 + 3v^2 = p from
+    a square root of -3 mod p; then u + v*sqrt(-3) = (u + v) + 2v*w.
+    """
+    r, m = p, _sqrt_mod_p(p - 3, p)
+    if 2 * m < p:
+        m = p - m
+    while m * m > p:
+        r, m = m, r % m
+    v2, rem = divmod(p - m * m, 3)
+    v = isqrt(v2)
+    if rem or v * v != v2:
+        raise InconsistencyError(f"Cornacchia found no u^2 + 3v^2 = {p}")
+    return (m + v, 2 * v)
+
+
+def _one_mod_3(u: tuple[int, int]) -> tuple[int, int]:
+    """The associate of u (prime to 3) that is = 1 (mod 3).
+
+    The six units are distinct mod 3 and fill (Z[w]/3)*, so exactly one of
+    the associates -w^k * u, +w^k * u qualifies.
+    """
+    x, y = u
+    for _ in range(3):
+        if y % 3 == 0:
+            return (x, y) if x % 3 == 1 else (-x, -y)
+        x, y = -y, x - y  # times w
+    raise InconsistencyError(f"{u} is not prime to 3")
+
+
+def _norm_cube_elements(h: int):
+    """Lazily, every alpha = x + y*w of norm h^3 with alpha = 2 (mod 3), for
+    h prime to 3.
+
+    By unique factorization alpha = u * r * prod pi_i^j_i conj(pi_i)^(3e_i-j_i)
+    over the split primes p_i = pi_i conj(pi_i), where p_i^e_i exactly divides
+    h, r is the rational part from the inert primes and u is a unit.  Every
+    factor is taken = 1 (mod 3); of the six units only u = -1 then gives
+    alpha = 2 (mod 3).  An inert prime with odd exponent in h^3 leaves no
+    alpha at all.  Depth-first, so memory stays linear in the number of
+    primes even when 6 d(h^3) elements would not fit.
+    """
+    rational = -1
+    choices = []
+    for p, e in factorize(h):
+        if p % 3 == 2:
+            if e % 2:
+                return
+            rational *= (-p) ** (3 * e // 2)
+            continue
+        pi = _one_mod_3(_cornacchia(p))
+        pows = [(1, 0)]
+        for _ in range(3 * e):
+            pows.append(_mul(pows[-1], pi))
+        choices.append([_mul(pows[j], _conj(pows[3 * e - j]))
+                        for j in range(3 * e + 1)])
+
+    def walk(i: int, alpha: tuple[int, int]):
+        if i == len(choices):
+            yield alpha
+            return
+        for factor in choices[i]:
+            yield from walk(i + 1, _mul(alpha, factor))
+
+    yield from walk(0, (rational, 0))
+
+
 def _square_disc_bs(a: int) -> list[int]:
-    """b values in b_range(a) whose discriminant is a positive perfect square."""
+    """b values in b_range(a) whose discriminant is a positive perfect square,
+    ascending.
+
+    With h = 1 - 3a and q = 9a + 27b - 2, disc = (4h^3 - q^2)/27, so
+    disc = s^2 exactly when alpha = (q + 3s*sqrt(-3))/2 = x + y*w, with
+    q = 2x - y and y = 3s, has norm h^3.  Such an alpha is = 2 (mod 3), since
+    q = 1 (mod 3).  Keep s > 0 (the conjugate gives the same b; s = 0 is
+    disc = 0) and q = 9a - 2 (mod 27).
+    """
     rng = b_range(a)
-    if not rng:
-        return []
-    B = 4 - 18 * a
-    C = a * a - 4 * a**3
-    bound = 27 * max(abs(rng.start), abs(rng.stop)) ** 2 + abs(B) * max(
-        abs(rng.start), abs(rng.stop)) + abs(C)
-    candidates: list[int]
-    if len(rng) >= _NUMPY_MIN_LEN and bound < _INT64_SAFE:
-        b = np.arange(rng.start, rng.stop, dtype=np.int64)
-        d = (-27 * b + B) * b + C
-        r = np.rint(np.sqrt(np.maximum(d, 0).astype(np.float64))).astype(np.int64)
-        near = (d > 0) & (((r - 1) ** 2 == d) | (r * r == d) | ((r + 1) ** 2 == d))
-        candidates = [int(x) for x in b[near]]
-    else:
-        candidates = list(rng)
     out = []
-    for b_ in candidates:
-        d = (-27 * b_ + B) * b_ + C
-        if d > 0:
-            r = isqrt(d)
-            if r * r == d:
-                out.append(b_)
-    return out
+    for x, y in _norm_cube_elements(1 - 3 * a):
+        top = 2 * x - y - 9 * a + 2
+        if y > 0 and top % 27 == 0:
+            b = top // 27
+            if b not in rng:
+                raise InconsistencyError(
+                    f"b = {b} has a square discriminant but lies outside "
+                    f"b_range({a})")
+            out.append(b)
+    return sorted(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...]:
     """All cyclic trace-one cubics with this a, each with its field class."""
     out = []

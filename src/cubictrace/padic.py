@@ -17,7 +17,6 @@ from functools import lru_cache
 from .poly import TraceOnePoly, discriminant, is_cyclic
 
 _BRUTE_FORCE_PRIME = 1024
-_LIFT_SET_CAP = 2_000_000
 
 
 class InconsistencyError(RuntimeError):
@@ -183,47 +182,7 @@ def _root_count_mod_p(f: TraceOnePoly, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Lifting in Z_p
-
-def lift_root_zp(f: TraceOnePoly, p: int, d: int | None = None) -> bool:
-    """Whether f has a root in Z_p.
-
-    Breadth-first lifting of the root set mod p^k for k = 1 .. 2d+1 with
-    d = v_p(disc f); a survivor mod p^{2d+1} has derivative valuation <= d,
-    so Hensel's lemma certifies a true root.
-    """
-    disc = discriminant(f)
-    if disc == 0:
-        raise ValueError("discriminant is zero: p-adic valuation is infinite")
-    if d is None:
-        d = valuation(disc, p)
-    roots = sorted(roots_mod_p(f, p))
-    for k in range(1, 2 * d + 1):
-        if not roots:
-            return False
-        pk = p**k
-        nxt = set()
-        for r in roots:
-            # Hensel early exit: v(f(r)) >= k > 2 v(f'(r)) certifies a root
-            fpr = f.derivative(r)
-            v = min(valuation(fpr, p), k) if fpr else k
-            if 2 * v < k:
-                return True
-            u = (f(r) // pk) % p
-            alpha = fpr % p
-            if alpha:
-                t = -u * pow(alpha, -1, p) % p
-                nxt.add(r + t * pk)
-            elif u == 0:
-                nxt.update(r + t * pk for t in range(p))
-        if len(nxt) > _LIFT_SET_CAP:
-            raise InconsistencyError(f"root set mod {p}^{k + 1} exceeded cap")
-        roots = sorted(nxt)
-    return bool(roots)
-
-
-# ---------------------------------------------------------------------------
-# Lifting in the unramified cubic extension W of Z_p
+# Lifting in Z_p and in the unramified cubic extension W of Z_p
 
 def _fp_distinct_roots(poly, p: int) -> set[int]:
     """Distinct F_p roots of a degree <= 3 polynomial over F_p."""
@@ -256,9 +215,9 @@ def _shift_scale(coeffs, r: int, p: int):
     return [a0, a1 * p, a2 * p * p, c3 * p**3]
 
 
-def _has_unramified_root(coeffs, p: int, depth: int) -> bool:
-    """Whether the integer polynomial (degree <= 3) has a root in W, the
-    unramified cubic extension ring of Z_p.
+def _has_root(coeffs, p: int, depth: int, unramified: bool) -> bool:
+    """Whether the integer polynomial (degree <= 3) has a root in Z_p or,
+    if `unramified`, in W, the unramified cubic extension ring of Z_p.
 
     The residue field of W is F_{p^3}, which contains no quadratic
     subextension, so a residue root is either in F_p or generates the whole
@@ -268,10 +227,10 @@ def _has_unramified_root(coeffs, p: int, depth: int) -> bool:
     shifted, rescaled polynomial.  Cosets of roots are never enumerated.
     """
     if depth < 0:
-        raise InconsistencyError("unramified root search exceeded depth budget")
+        raise InconsistencyError("p-adic root search exceeded depth budget")
     cbar = _pnorm(coeffs, p)
     roots = _fp_distinct_roots(cbar, p)
-    if len(cbar) - 1 == 3 and not roots:
+    if unramified and len(cbar) - 1 == 3 and not roots:
         return True  # irreducible cubic reduction: roots generate W
     dbar = _pnorm([i * c for i, c in enumerate(cbar)][1:], p)
     multiple = []
@@ -286,23 +245,36 @@ def _has_unramified_root(coeffs, p: int, depth: int) -> bool:
         shifted = _shift_scale(coeffs, r, p)
         mu = min(valuation(c, p) for c in shifted if c)
         reduced = [c // p**mu for c in shifted]
-        if _has_unramified_root(reduced, p, depth - mu):
+        if _has_root(reduced, p, depth - mu, unramified):
             return True
     return False
+
+
+def _lift(f: TraceOnePoly, p: int, unramified: bool) -> bool:
+    disc = discriminant(f)
+    if disc == 0:
+        raise ValueError("discriminant is zero: p-adic valuation is infinite")
+    return _has_root([f.b, f.a, -1, 1], p, valuation(disc, p) + 4, unramified)
+
+
+def lift_root_zp(f: TraceOnePoly, p: int) -> bool:
+    """Whether f has a root in Z_p.
+
+    Decided by recursive residue analysis (see _has_root) on the F_p roots:
+    a multiple residue root r is followed into f(r + p*y), never by
+    enumerating the p lifts of r, so large index primes cost no memory.
+    """
+    return _lift(f, p, unramified=False)
 
 
 def lift_root_unramified(f: TraceOnePoly, p: int) -> bool:
     """Whether f has a root in the degree-3 unramified extension ring W of Z_p.
 
-    Decided by recursive residue analysis (see _has_unramified_root): the
+    Decided by recursive residue analysis (see _has_root): the
     root sets of f modulo p^k in W can contain entire cosets of size p^3 and
     larger, so they are handled symbolically instead of being enumerated.
     """
-    disc = discriminant(f)
-    if disc == 0:
-        raise ValueError("discriminant is zero: p-adic valuation is infinite")
-    d = valuation(disc, p)
-    return _has_unramified_root([f.b, f.a, -1, 1], p, d + 4)
+    return _lift(f, p, unramified=True)
 
 
 # ---------------------------------------------------------------------------

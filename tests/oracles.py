@@ -4,7 +4,16 @@ against."""
 import math
 
 from cubictrace.arith import factorize, primes
-from cubictrace.padic import SplittingType, splitting_type
+from cubictrace.enumeration import b_range
+from cubictrace.padic import (InconsistencyError, SplittingType, roots_mod_p,
+                              splitting_type, valuation)
+from cubictrace.poly import discriminant
+
+# disc(b) can be a square only where it is a square mod 8 * 9 * 5 * 7, and
+# that depends only on b mod the same number.
+_SCAN_MODULUS = 2520
+_SCAN_SQUARES = {r * r % _SCAN_MODULUS for r in range(_SCAN_MODULUS)}
+_LIFT_SET_CAP = 2_000_000
 
 
 def euler_phi(n: int) -> int:
@@ -56,3 +65,53 @@ def split_prime_closure(f, c: int) -> set[int]:
         if len(closure) == target:
             assert not inert & closure, (f, c)
             return closure
+
+
+def square_disc_bs_scan(a: int) -> list[int]:
+    """b values in b_range(a) whose discriminant is a perfect square,
+    ascending, by testing every b (residue classes mod _SCAN_MODULUS that
+    cannot hold a square are skipped whole)."""
+    rng = b_range(a)
+    B = 4 - 18 * a
+    C = a * a - 4 * a**3
+    out = []
+    for r in range(_SCAN_MODULUS):
+        if ((-27 * r + B) * r + C) % _SCAN_MODULUS not in _SCAN_SQUARES:
+            continue
+        for b in range(rng.start + (r - rng.start) % _SCAN_MODULUS, rng.stop,
+                       _SCAN_MODULUS):
+            d = (-27 * b + B) * b + C
+            if math.isqrt(d) ** 2 == d:
+                out.append(b)
+    return sorted(out)
+
+
+def lift_root_zp_bfs(f, p: int) -> bool:
+    """Whether f has a root in Z_p, by breadth-first lifting of the root set
+    mod p^k for k = 1 .. 2d+1 with d = v_p(disc f): a survivor mod p^{2d+1}
+    has derivative valuation <= d, so Hensel's lemma certifies a true root.
+    Branches p ways on a multiple root, so keep p small."""
+    d = valuation(discriminant(f), p)
+    roots = sorted(roots_mod_p(f, p))
+    for k in range(1, 2 * d + 1):
+        if not roots:
+            return False
+        pk = p**k
+        nxt = set()
+        for r in roots:
+            # Hensel early exit: v(f(r)) >= k > 2 v(f'(r)) certifies a root
+            fpr = f.derivative(r)
+            v = min(valuation(fpr, p), k) if fpr else k
+            if 2 * v < k:
+                return True
+            u = (f(r) // pk) % p
+            alpha = fpr % p
+            if alpha:
+                t = -u * pow(alpha, -1, p) % p
+                nxt.add(r + t * pk)
+            elif u == 0:
+                nxt.update(r + t * pk for t in range(p))
+        if len(nxt) > _LIFT_SET_CAP:
+            raise InconsistencyError(f"root set mod {p}^{k + 1} exceeded cap")
+        roots = sorted(nxt)
+    return bool(roots)

@@ -47,6 +47,12 @@ class TestIdentify:
         code, _, err = run(capsys, "identify", "--poly", "x^2 + 1")
         assert code == 3
 
+    def test_negative_pair(self, capsys):
+        code, out, _ = run(capsys, "identify", "--poly", "-2,1")
+        assert code == 0
+        assert out == run(capsys, "identify", "--poly", K49_POLY)[1]
+        assert run(capsys, "identify", "--poly", "-2,x")[0] == 3
+
 
 class TestEnumerate:
     def test_paper_table_shape(self, capsys):
@@ -122,6 +128,10 @@ class TestCount:
         assert code == 0
         assert "7 does not divide 4" in out
 
+    def test_negative_pair_field(self, capsys):
+        code, out, _ = run(capsys, "count", "--field", "-2,1", "-a", "-30")
+        assert code == 0 and out.startswith("count = 2")
+
     def test_positive_a_invalid(self, capsys):
         code, _, err = run(capsys, "count", "--field", K49_POLY, "-a", "2")
         assert code == 3
@@ -184,3 +194,9 @@ class TestIsomorphic:
     def test_invalid(self, capsys):
         code, _, err = run(capsys, "isomorphic", K49_POLY, "t^3 - t^2")
         assert code == 3
+
+    def test_negative_pairs(self, capsys):
+        code, out, _ = run(capsys, "isomorphic", "-2,1", "-4,-1")
+        assert code == 1 and out.strip() == "false"
+        code, out, _ = run(capsys, "isomorphic", "-2,1", "-37,29")
+        assert code == 0 and out.strip() == "true"

@@ -1,10 +1,16 @@
 import pytest
 
-from cubictrace.enumeration import (b_range, classified_polys_for_a,
-                                    enumerate_all, enumerate_field,
-                                    min_height, polys_for_a)
+from cubictrace import enumeration
+from cubictrace.arith import is_prime
+from cubictrace.eisenstein import ideal_count
+from cubictrace.enumeration import (_cornacchia, _square_disc_bs, b_range,
+                                    classified_polys_for_a, enumerate_all,
+                                    enumerate_field, min_height, polys_for_a)
 from cubictrace.fields import field_invariants
+from cubictrace.padic import InconsistencyError
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic
+
+from oracles import square_disc_bs_scan
 
 
 class TestBRange:
@@ -23,6 +29,51 @@ class TestBRange:
             rng = b_range(a)
             for b in range(rng.start - 3, rng.stop + 3):
                 assert (b in rng) == (discriminant(TraceOnePoly(a, b)) > 0)
+
+
+class TestSquareDiscBs:
+    def test_matches_scan(self):
+        for a in range(-3000, 1):
+            assert _square_disc_bs(a) == square_disc_bs_scan(a), a
+
+    @pytest.mark.parametrize("a, h", [
+        (-3, 10),                   # inert 2 and 5 with odd exponent: no b
+        (-1, 4),                    # inert prime squared
+        (-800, 7**4),               # split prime power
+        (-17866, 7 * 13 * 19 * 31),  # four split primes
+    ])
+    def test_adversarial_heights(self, a, h):
+        assert 1 - 3 * a == h
+        assert _square_disc_bs(a) == square_disc_bs_scan(a)
+
+    def test_b_outside_range_is_inconsistent(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "b_range", lambda a: range(0, 0))
+        with pytest.raises(InconsistencyError):
+            _square_disc_bs(-2)
+
+    def test_cornacchia(self):
+        for p in range(7, 10**4, 3):
+            if is_prime(p):
+                x, y = _cornacchia(p)
+                assert x * x - x * y + y * y == p, p
+
+    def test_corollary_far_from_scan(self):
+        # The scan would test ~4.4 * 10^8 values of b per a here.
+        for a in (-1000000, -1000001, -1000008, -1000022):
+            h = 1 - 3 * a
+            rows = classified_polys_for_a(a)
+            assert rows
+            classes = {}
+            for f, k in rows:
+                assert is_cyclic(f) and h % k.conductor == 0
+                classes[k] = classes.get(k, 0) + 1
+            for k, count in classes.items():
+                assert count == ideal_count(h // k.conductor), (a, k)
+
+    def test_cache_is_bounded(self):
+        # large enough for a full census down to a = -2000 (2001 values of a)
+        maxsize = classified_polys_for_a.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 2001
 
 
 class TestPolysForA:

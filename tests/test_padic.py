@@ -5,7 +5,12 @@ import pytest
 from cubictrace.padic import (SplittingType, dedekind_index_test,
                               lift_root_unramified, lift_root_zp,
                               roots_mod_p, splitting_type, valuation)
+from cubictrace.arith import factorize
+from cubictrace.enumeration import polys_for_a
+from cubictrace.fields import field_invariants
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic
+
+from oracles import lift_root_zp_bfs
 
 
 class TestValuation:
@@ -51,6 +56,26 @@ class TestLifting:
         assert lift_root_unramified(TraceOnePoly(-2, 1), 13)  # Z_13 root is a W root
         assert not lift_root_unramified(TraceOnePoly(-2, 1), 7)  # ramified
         assert lift_root_unramified(TraceOnePoly(-37, 29), 2)
+
+    def test_zp_matches_breadth_first_oracle(self):
+        checked = 0
+        for a in range(-1500, 0):
+            for f, _c in polys_for_a(a):
+                for p, _e in factorize(discriminant(f)):
+                    if p < 500:
+                        assert lift_root_zp(f, p) == lift_root_zp_bfs(f, p), (f, p)
+                        checked += 1
+        assert checked > 3000
+
+    def test_large_index_prime(self):
+        # p^2 | disc, p does not divide the conductor 7: the p lifts of the
+        # double root mod p are never enumerated.  An isomorphic cubic with
+        # p not dividing its discriminant decides the answer.
+        f, p = TraceOnePoly(-1000022, 4734241), 285705181
+        assert discriminant(f) == 7**2 * p**2
+        g = field_invariants(f).canonical_poly
+        assert discriminant(g) % p
+        assert lift_root_zp(f, p) == (len(roots_mod_p(g, p)) == 3)
 
     def test_zp_implies_unramified(self):
         rng = random.Random(11)
