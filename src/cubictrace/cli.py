@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -20,6 +21,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INVALID = 3
+EXIT_INTERNAL = 4  # an internal inconsistency or an exhausted limit
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout early
 
 
 class InvalidInput(Exception):
@@ -236,10 +239,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
     except (ParseError, InvalidInput, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except (RuntimeError, ArithmeticError) as exc:
+        # InconsistencyError and an exhausted prime bound are RuntimeErrors;
+        # a failed rho factorization is an ArithmeticError.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot fail as well.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

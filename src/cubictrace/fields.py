@@ -5,11 +5,12 @@ field-isomorphism test."""
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .arith import is_perfect_square, factorize, primes
+from .arith import factorize, primes
 from .padic import InconsistencyError, SplittingType, splitting_type
 from .poly import TraceOnePoly, discriminant, is_cyclic
 
@@ -145,22 +146,20 @@ def cubic_character(f: TraceOnePoly, conductor: int | None = None,
                 f"no cubic character mod {c} matches the {kind.value} prime {q} of {f}")
 
 
-@lru_cache(maxsize=1 << 18)
 def conductor_of(f: TraceOnePoly) -> int:
-    """Conductor: product of the ramified primes (each exactly once)."""
+    """Conductor: product of the ramified primes (each exactly once).
+
+    disc(f) = (c * index)^2 is a square here, so only the primes of its
+    square root need classifying."""
     if not is_cyclic(f):
         raise ValueError(f"{f} is not cyclic")
-    disc = discriminant(f)
     c = 1
-    for p, _e in factorize(disc):
+    for p, _e in factorize(math.isqrt(discriminant(f))):
         if splitting_type(f, p) is SplittingType.RAMIFIED:
             if p == 3 or p % 3 != 1:
                 raise InconsistencyError(
                     f"ramified prime {p} of {f} is not 1 mod 3 (wild or misclassified)")
             c *= p
-    ok, _ = is_perfect_square(disc // (c * c)) if disc % (c * c) == 0 else (False, None)
-    if not ok:
-        raise InconsistencyError(f"disc(f)/c^2 is not a square index for {f}")
     return c
 
 

@@ -1,6 +1,6 @@
 """Local analysis of a trace-one cubic at a prime p.
 
-Root counting mod p, Hensel-style lifting in Z_p and in the unramified
+Root finding mod p, Hensel-style lifting in Z_p and in the unramified
 cubic extension W of Z_p, the three-way splitting classification, and
 Dedekind's index-divisor criterion as an independent cross-check.
 
@@ -138,72 +138,47 @@ def _fbar(f: TraceOnePoly, p: int):
 
 
 def _split_roots(poly, p: int) -> set[int]:
-    """Roots of a polynomial known to split into distinct linear factors."""
+    """Roots of a monic polynomial over F_p, p odd, known to split into
+    distinct linear factors: gcd(poly, (x + c)^((p-1)/2) - 1) separates the
+    roots r with r + c a nonzero square from the rest (Cantor-Zassenhaus)."""
     deg = len(poly) - 1
     if deg <= 0:
         return set()
     if deg == 1:
-        return {(-poly[0] * pow(poly[1], -1, p)) % p}
-    if deg == 2:
-        a2, a1, a0 = poly[2], poly[1], poly[0]
-        s = _sqrt_mod_p((a1 * a1 - 4 * a2 * a0) % p, p)
-        inv = pow(2 * a2, -1, p)
-        return {(-a1 + s) * inv % p, (-a1 - s) * inv % p}
-    # degree 3, fully split: peel off a factor with a quadratic-residue test
+        return {-poly[0] % p}
     for c in itertools.count():
         h = _ppow_mod((c % p, 1), (p - 1) // 2, poly, p)
         g = _pgcd(poly, _psub(h, (1,), p), p)
-        if 0 < len(g) - 1 < 3:
+        if 0 < len(g) - 1 < deg:
             rest = _pdivmod(poly, g, p)[0]
             return _split_roots(g, p) | _split_roots(rest, p)
 
 
+def _fp_roots(poly, p: int) -> set[int]:
+    """Distinct roots mod p of an integer polynomial of degree <= 3, given by
+    its coefficients in ascending order (any leading coefficient).
+
+    Up to _BRUTE_FORCE_PRIME every residue is tried; above it the roots are
+    those of gcd(poly, x^p - x), split by _split_roots.  The zero polynomial
+    mod p is rejected: every residue would be a root.
+    """
+    cbar = _pnorm(poly, p)
+    if not cbar:
+        raise ValueError(f"{tuple(poly)} vanishes mod {p}")
+    if p <= _BRUTE_FORCE_PRIME:
+        c0, c1, c2, c3 = cbar + (0,) * (4 - len(cbar))
+        return {r for r in range(p) if (((c3 * r + c2) * r + c1) * r + c0) % p == 0}
+    xp = _ppow_mod((0, 1), p, cbar, p)
+    return _split_roots(_pgcd(cbar, _psub(xp, (0, 1), p), p), p)
+
+
 def roots_mod_p(f: TraceOnePoly, p: int) -> set[int]:
     """All residues r in [0, p) with f(r) = 0 mod p."""
-    if p <= _BRUTE_FORCE_PRIME:
-        return {r for r in range(p) if f(r) % p == 0}
-    fb = _fbar(f, p)
-    xp = _ppow_mod((0, 1), p, fb, p)
-    g1 = _pgcd(fb, _psub(xp, (0, 1), p), p)
-    if not g1:
-        # x^p = x in F_p[x]/(f): f splits completely with distinct roots
-        g1 = fb
-    return _split_roots(g1, p)
-
-
-def _root_count_mod_p(f: TraceOnePoly, p: int) -> int:
-    """Number of distinct roots of f mod p (fast path for large p)."""
-    if p <= _BRUTE_FORCE_PRIME:
-        return len(roots_mod_p(f, p))
-    fb = _fbar(f, p)
-    xp = _ppow_mod((0, 1), p, fb, p)
-    g1 = _pgcd(fb, _psub(xp, (0, 1), p), p)
-    return 3 if not g1 else len(g1) - 1
+    return _fp_roots((f.b, f.a, -1, 1), p)
 
 
 # ---------------------------------------------------------------------------
 # Lifting in Z_p and in the unramified cubic extension W of Z_p
-
-def _fp_distinct_roots(poly, p: int) -> set[int]:
-    """Distinct F_p roots of a degree <= 3 polynomial over F_p."""
-    poly = _pnorm(list(poly), p)
-    if len(poly) <= 1:
-        return set()
-    if p <= _BRUTE_FORCE_PRIME:
-        out = set()
-        for r in range(p):
-            acc = 0
-            for c in reversed(poly):
-                acc = (acc * r + c) % p
-            if acc == 0:
-                out.add(r)
-        return out
-    xp = _ppow_mod((0, 1), p, poly, p)
-    g1 = _pgcd(poly, _psub(xp, (0, 1), p), p)
-    if not g1:
-        g1 = poly
-    return _split_roots(g1, p)
-
 
 def _shift_scale(coeffs, r: int, p: int):
     """G(r + p*y) for a degree <= 3 integer polynomial G, coefficients in y."""
@@ -229,7 +204,7 @@ def _has_root(coeffs, p: int, depth: int, unramified: bool) -> bool:
     if depth < 0:
         raise InconsistencyError("p-adic root search exceeded depth budget")
     cbar = _pnorm(coeffs, p)
-    roots = _fp_distinct_roots(cbar, p)
+    roots = _fp_roots(cbar, p)
     if unramified and len(cbar) - 1 == 3 and not roots:
         return True  # irreducible cubic reduction: roots generate W
     dbar = _pnorm([i * c for i, c in enumerate(cbar)][1:], p)
@@ -292,7 +267,7 @@ def splitting_type(f: TraceOnePoly, p: int) -> SplittingType:
         raise ValueError(f"{f} is not cyclic")
     disc = discriminant(f)
     if disc % p != 0:
-        n = _root_count_mod_p(f, p)
+        n = len(roots_mod_p(f, p))
         if n == 3:
             return SplittingType.SPLIT
         if n == 0:

@@ -1,22 +1,39 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from cubictrace.cli import main
+from cubictrace import cli
+from cubictrace.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, main
 from cubictrace.enumeration import enumerate_field
 from cubictrace.fields import field_invariants
+from cubictrace.padic import InconsistencyError
 from cubictrace.poly import TraceOnePoly, parse_poly
 
 K49_POLY = "t^3 - t^2 - 2t + 1"
 K169_POLY = "t^3 - t^2 - 4t - 1"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def spawn(*argv, **env):
+    """The CLI in a fresh interpreter, so no in-process cache is shared, with
+    stdout block-buffered (PYTHONUNBUFFERED unset) as in a shell pipeline."""
+    env = dict(os.environ, **env, PYTHONUNBUFFERED="", PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.Popen([sys.executable, "-m", "cubictrace.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
 
 
 class TestIdentify:
@@ -200,3 +217,37 @@ class TestIsomorphic:
         assert code == 1 and out.strip() == "false"
         code, out, _ = run(capsys, "isomorphic", "-2,1", "-37,29")
         assert code == 0 and out.strip() == "true"
+
+
+class TestExitPaths:
+    @pytest.mark.parametrize("argv, lines_read", [
+        # about 200 kB of CSV, more than the pipe holds: print fails
+        (("zeta-coeffs", "--max", "20000", "--format", "csv"), 1),
+        # a few lines, still buffered when main returns: the flush fails
+        (("identify", "--poly", "-2,1"), 0),
+    ])
+    def test_closed_pipe_exits_141_without_traceback(self, argv, lines_read):
+        proc = spawn(*argv)
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_BROKEN_PIPE == 141
+        assert err == b""
+
+    def test_exhausted_prime_bound_exits_4(self):
+        proc = spawn("isomorphic", "-2,1", "-4,-1", CUBICTRACE_MAX_PRIME="3")
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_INTERNAL == 4
+        assert out == b""
+        assert err.startswith(b"error: prime bound 3 exhausted")
+        assert err.count(b"\n") == 1
+
+    @pytest.mark.parametrize("exc", [InconsistencyError, ArithmeticError])
+    def test_internal_errors_exit_4(self, capsys, monkeypatch, exc):
+        def broken(f, g):
+            raise exc("broken invariant")
+
+        monkeypatch.setattr(cli, "is_isomorphic", broken)
+        code, out, err = run(capsys, "isomorphic", "-2,1", "-4,-1")
+        assert (code, out, err) == (EXIT_INTERNAL, "", "error: broken invariant\n")

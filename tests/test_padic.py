@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cubictrace.padic import (SplittingType, dedekind_index_test,
+from cubictrace.padic import (SplittingType, _fp_roots, dedekind_index_test,
                               lift_root_unramified, lift_root_zp,
                               roots_mod_p, splitting_type, valuation)
 from cubictrace.arith import factorize
@@ -45,6 +45,56 @@ class TestRootsModP:
             assert roots_mod_p(f, p) == {r for r in range(p) if f(r) % p == 0}
 
 
+def _brute_roots(coeffs, p):
+    return {r for r in range(p)
+            if sum(c * r**i for i, c in enumerate(coeffs)) % p == 0}
+
+
+def _random_polys(rng, p, count):
+    """Integer polynomials of degree <= 3, ascending coefficients, never
+    zero mod p: random ones (leading coefficient sometimes = 0 mod p), and
+    products of linear factors with repeated roots, lifted by p * noise."""
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:  # a constant
+            c = [rng.randint(1, p - 1) + p * rng.randint(-5, 5)]
+        elif kind == 1:  # any leading coefficient
+            c = [rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(2, 4))]
+            c[0] += 0 if any(x % p for x in c) else 1
+        elif kind == 2:  # leading coefficient = 0 mod p
+            c = [rng.randint(-3 * p, 3 * p) for _ in range(3)]
+            c[0] += 0 if any(x % p for x in c) else 1
+            c.append(p * rng.randint(-3, 3))
+        else:  # lead * prod (x - r), roots drawn from a small set
+            pool = [rng.randrange(p) for _ in range(2)]
+            c = [rng.randint(1, p - 1)]
+            for _ in range(rng.randint(1, 3)):
+                r = rng.choice(pool)
+                c = [x - r * y for x, y in zip([0] + c, c + [0])]
+            c = [x + p * rng.randint(-5, 5) for x in c]
+        yield c
+
+
+class TestFpRoots:
+    @pytest.mark.parametrize("p", [2, 3, 5, 1021, 1031, 10007])
+    def test_matches_brute_force(self, p):
+        rng = random.Random(p)
+        for coeffs in _random_polys(rng, p, 120):
+            assert _fp_roots(coeffs, p) == _brute_roots(coeffs, p), (coeffs, p)
+
+    @pytest.mark.parametrize("p", [2, 1031])
+    def test_zero_polynomial_rejected(self, p):
+        with pytest.raises(ValueError):
+            _fp_roots((p, 0, -3 * p, p), p)
+
+    def test_repeated_and_split_roots_above_threshold(self):
+        p = 10007
+        # (x - 1)^2 (x - 5), x (x - 2) (x - 3) and 7 (x - 4)^3
+        assert _fp_roots((-5, 11, -7, 1), p) == {1, 5}
+        assert _fp_roots((0, 6, -5, 1), p) == {0, 2, 3}
+        assert _fp_roots((-448, 336, -84, 7), p) == {4}
+
+
 class TestLifting:
     def test_zp_examples(self):
         assert lift_root_zp(TraceOnePoly(-2, 1), 13)
@@ -62,10 +112,10 @@ class TestLifting:
         for a in range(-1500, 0):
             for f, _c in polys_for_a(a):
                 for p, _e in factorize(discriminant(f)):
-                    if p < 500:
+                    if p < 5000:  # above _BRUTE_FORCE_PRIME too
                         assert lift_root_zp(f, p) == lift_root_zp_bfs(f, p), (f, p)
                         checked += 1
-        assert checked > 3000
+        assert checked > 5000
 
     def test_large_index_prime(self):
         # p^2 | disc, p does not divide the conductor 7: the p lifts of the
