@@ -1,6 +1,6 @@
-"""Global invariants of a cyclic trace-one cubic: conductor, field
-discriminant, the cubic character that keys the field, and the
-field-isomorphism test."""
+"""Global invariants of a cyclic trace-one cubic: the conductor, read off
+gcd(q, sqrt(disc)) without local analysis, the field discriminant, the cubic
+character that keys the field, and the field-isomorphism test."""
 
 from __future__ import annotations
 
@@ -147,20 +147,18 @@ def cubic_character(f: TraceOnePoly, conductor: int | None = None,
 
 
 def conductor_of(f: TraceOnePoly) -> int:
-    """Conductor: product of the ramified primes (each exactly once).
+    """Conductor: the product of the ramified primes, read off gcd(q, s).
 
-    disc(f) = (c * index)^2 is a square here, so only the primes of its
-    square root need classifying."""
+    With h = 1 - 3a, q = 9a + 27b - 2 and s = sqrt(disc), alpha = (q + 3s
+    sqrt(-3))/2 has norm h^3 and K(w) = Q(w, alpha^(1/3)).  By Kummer, p != 3
+    ramifies iff p = pi conj(pi) splits and 3 does not divide v_pi(alpha);
+    as v_pi + v_conj(pi) = 3 v_p(h), that is 3 not dividing the smaller one,
+    v_p(gcd(q, s)), the content of alpha.  3 never ramifies: a root has
+    trace 1, so Tr(O_K) = Z, and K is tame by Noether's theorem."""
     if not is_cyclic(f):
         raise ValueError(f"{f} is not cyclic")
-    c = 1
-    for p, _e in factorize(math.isqrt(discriminant(f))):
-        if splitting_type(f, p) is SplittingType.RAMIFIED:
-            if p == 3 or p % 3 != 1:
-                raise InconsistencyError(
-                    f"ramified prime {p} of {f} is not 1 mod 3 (wild or misclassified)")
-            c *= p
-    return c
+    content = math.gcd(9 * f.a + 27 * f.b - 2, math.isqrt(discriminant(f)))
+    return math.prod(p for p, e in factorize(content) if p % 3 == 1 and e % 3)
 
 
 @lru_cache(maxsize=1 << 18)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from functools import lru_cache
 
 from .poly import TraceOnePoly, discriminant, is_cyclic
 
@@ -255,7 +254,6 @@ def lift_root_unramified(f: TraceOnePoly, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # Classification
 
-@lru_cache(maxsize=1 << 18)
 def splitting_type(f: TraceOnePoly, p: int) -> SplittingType:
     """Split / Inert / Ramified behavior of p in the root field of f.
 
@@ -267,6 +265,9 @@ def splitting_type(f: TraceOnePoly, p: int) -> SplittingType:
         raise ValueError(f"{f} is not cyclic")
     disc = discriminant(f)
     if disc % p != 0:
+        if p > _BRUTE_FORCE_PRIME:  # 0 or 3 roots mod p: is x^p = x mod f?
+            split = _ppow_mod((0, 1), p, _fbar(f, p), p) == (0, 1)
+            return SplittingType.SPLIT if split else SplittingType.INERT
         n = len(roots_mod_p(f, p))
         if n == 3:
             return SplittingType.SPLIT

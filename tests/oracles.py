@@ -7,7 +7,7 @@ from cubictrace.arith import factorize, primes
 from cubictrace.enumeration import b_range
 from cubictrace.padic import (InconsistencyError, SplittingType, roots_mod_p,
                               splitting_type, valuation)
-from cubictrace.poly import discriminant
+from cubictrace.poly import discriminant, is_cyclic
 
 # disc(b) can be a square only where it is a square mod 8 * 9 * 5 * 7, and
 # that depends only on b mod the same number.
@@ -65,6 +65,22 @@ def split_prime_closure(f, c: int) -> set[int]:
         if len(closure) == target:
             assert not inert & closure, (f, c)
             return closure
+
+
+def conductor_padic(f) -> int:
+    """Conductor as the product of the primes of sqrt(disc f) that
+    splitting_type, by root lifting in Z_p and in the unramified cubic
+    extension, finds ramified."""
+    if not is_cyclic(f):
+        raise ValueError(f"{f} is not cyclic")
+    c = 1
+    for p, _e in factorize(math.isqrt(discriminant(f))):
+        if splitting_type(f, p) is SplittingType.RAMIFIED:
+            if p == 3 or p % 3 != 1:
+                raise InconsistencyError(
+                    f"ramified prime {p} of {f} is not 1 mod 3 (wild or misclassified)")
+            c *= p
+    return c
 
 
 def square_disc_bs_scan(a: int) -> list[int]:

@@ -1,14 +1,20 @@
 import itertools
+import math
 import os
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cubictrace.enumeration import enumerate_all
+from cubictrace.arith import is_prime
+from cubictrace.enumeration import _square_disc_bs, enumerate_all, polys_for_a
 from cubictrace.fields import (FieldClass, conductor_of, cubic_character,
                                field_invariants, is_isomorphic)
-from cubictrace.padic import InconsistencyError
-from cubictrace.poly import TraceOnePoly
-from oracles import euler_phi, split_prime_closure
+from cubictrace.padic import InconsistencyError, valuation
+from cubictrace.poly import TraceOnePoly, discriminant, is_irreducible
+from oracles import conductor_padic, euler_phi, split_prime_closure
+
+_SPLIT_PRIMES = [p for p in range(7, 200) if p % 3 == 1 and is_prime(p)]
+_INERT_PRIMES = [p for p in range(2, 50) if p % 3 == 2 and is_prime(p)]
 
 
 class TestConductor:
@@ -23,6 +29,44 @@ class TestConductor:
     def test_rejects_noncyclic(self):
         with pytest.raises(ValueError):
             conductor_of(TraceOnePoly(-2, 2))
+
+    def test_matches_padic_oracle(self):
+        checked = three_divides_s = 0
+        for a in [*range(-3000, 1), -1000000, -1000001, -1000008, -1000022]:
+            for f, _c in polys_for_a(a):
+                assert conductor_of(f) == conductor_padic(f), f
+                checked += 1
+                three_divides_s += math.isqrt(discriminant(f)) % 3 == 0
+        assert checked > 4000 and three_divides_s > 0
+
+    @pytest.mark.parametrize("a, b, e, c", [
+        (-19861, -707923, 2, 7),
+        (-19665, -941751, 4, 301),
+        (-15206, -692733, 5, 133),
+        (-19861, -858451, 3, 19),
+        (-15206, 584599, 6, 19),
+    ])
+    def test_high_power_of_seven(self, a, b, e, c):
+        # 7^e exactly divides gcd(q, sqrt(disc)); 7 ramifies iff 3 does not
+        # divide e
+        f = TraceOnePoly(a, b)
+        q = 9 * a + 27 * b - 2
+        assert valuation(math.gcd(q, math.isqrt(discriminant(f))), 7) == e
+        assert conductor_of(f) == conductor_padic(f) == c
+        assert (c % 7 == 0) is (e % 3 != 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.sampled_from(_SPLIT_PRIMES), st.integers(1, 4),
+                           min_size=1, max_size=3),
+           st.sampled_from([1, *_INERT_PRIMES]))
+    def test_matches_padic_oracle_on_drawn_heights(self, split, inert):
+        h = inert**2 * math.prod(p**e for p, e in split.items())
+        assume(h < 10**10)  # keeps sqrt(disc) easy for the oracle to factor
+        a = (1 - h) // 3
+        for b in _square_disc_bs(a):
+            f = TraceOnePoly(a, b)
+            if is_irreducible(f):
+                assert conductor_of(f) == conductor_padic(f), f
 
 
 class TestSplittingSubgroup:
