@@ -265,9 +265,6 @@ def splitting_type(f: TraceOnePoly, p: int) -> SplittingType:
         raise ValueError(f"{f} is not cyclic")
     disc = discriminant(f)
     if disc % p != 0:
-        if p > _BRUTE_FORCE_PRIME:  # 0 or 3 roots mod p: is x^p = x mod f?
-            split = _ppow_mod((0, 1), p, _fbar(f, p), p) == (0, 1)
-            return SplittingType.SPLIT if split else SplittingType.INERT
         n = len(roots_mod_p(f, p))
         if n == 3:
             return SplittingType.SPLIT

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from cubictrace.padic import (SplittingType, _fp_roots, dedekind_index_test,
                               lift_root_unramified, lift_root_zp,
                               roots_mod_p, splitting_type, valuation)
-from cubictrace.arith import factorize, is_prime
+from cubictrace.arith import factorize
 from cubictrace.enumeration import polys_for_a
 from cubictrace.fields import field_invariants
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic
@@ -183,22 +182,6 @@ class TestSplittingType:
             n = len(roots_mod_p(f, p))
             assert (kind, n) in ((SplittingType.SPLIT, 3), (SplittingType.INERT, 0))
             checked += 1
-
-    @pytest.mark.parametrize("a, b", [(-2, 1), (-30, 64)])
-    def test_large_primes_match_root_count(self, a, b):
-        # above _BRUTE_FORCE_PRIME the type comes from x^p = x mod f, not
-        # from the roots
-        f = TraceOnePoly(a, b)
-        d = discriminant(f)
-        above = (p for p in range(10**6 + 1, 2 * 10**6, 2)
-                 if is_prime(p) and d % p)
-        kinds = set()
-        for p in (1031, 10007, *itertools.islice(above, 5)):
-            n = len(roots_mod_p(f, p))
-            kind = splitting_type(f, p)
-            assert (kind, n) in ((SplittingType.SPLIT, 3), (SplittingType.INERT, 0))
-            kinds.add(kind)
-        assert kinds == {SplittingType.SPLIT, SplittingType.INERT}
 
 
 class TestDedekind:
