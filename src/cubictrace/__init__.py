@@ -7,8 +7,7 @@ from .eisenstein import (formula3_count, ideal_count, ideal_count_oracle,
                          p1_part, series_coeff)
 from .enumeration import (EnumerationRow, b_range, enumerate_all,
                           enumerate_field, min_height, polys_for_a)
-from .fields import (FieldClass, conductor_of, cubic_character,
-                     field_invariants, is_isomorphic)
+from .fields import FieldClass, conductor_of, field_invariants, is_isomorphic
 from .padic import (InconsistencyError, SplittingType, dedekind_index_test,
                     lift_root_unramified, lift_root_zp, roots_mod_p,
                     splitting_type, valuation)
@@ -26,8 +25,7 @@ __all__ = [
     "series_coeff",
     "EnumerationRow", "b_range", "enumerate_all", "enumerate_field",
     "min_height", "polys_for_a",
-    "FieldClass", "conductor_of", "cubic_character", "field_invariants",
-    "is_isomorphic",
+    "FieldClass", "conductor_of", "field_invariants", "is_isomorphic",
     "InconsistencyError", "SplittingType", "dedekind_index_test",
     "lift_root_unramified", "lift_root_zp", "roots_mod_p", "splitting_type",
     "valuation",

@@ -1,5 +1,5 @@
-"""Exact integer arithmetic: factorization, divisor machinery, the cubic
-residue character mod 3, and an ascending prime generator.
+"""Exact integer arithmetic: factorization, divisor machinery and the
+character mod 3.
 
 Everything here is pure Python integer arithmetic (arbitrary precision),
 deterministic, and safe to call concurrently.
@@ -155,12 +155,3 @@ def divisors(n: int) -> list[int]:
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
-
-def primes():
-    """Ascending prime generator (unbounded, Miller-Rabin backed)."""
-    yield 2
-    n = 3
-    while True:
-        if is_prime(n):
-            yield n
-        n += 2

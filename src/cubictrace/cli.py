@@ -49,13 +49,16 @@ def cmd_identify(args) -> int:
     disc = discriminant(f)
     index_sq = disc // k.discriminant
     if args.format == "json":
-        print(json.dumps({
+        # json.dumps(indent=2)'s layout, but the phi(c)/3 residues by one join
+        head = json.dumps({
             "polynomial": str(f), "a": f.a, "b": f.b,
             "irreducible": True, "cyclic": True,
             "discriminant": disc, "index_sq": index_sq,
             "conductor": k.conductor, "field_discriminant": k.discriminant,
-            "tame": True, "subgroup": sorted(k.subgroup),
-        }, indent=2))
+            "tame": True,
+        }, indent=2)[:-2]
+        residues = ",\n    ".join(map(str, sorted(k.subgroup)))
+        print(f'{head},\n  "subgroup": [\n    {residues}\n  ]\n}}')
         return EXIT_OK
     print(f"polynomial:          {f}")
     print("irreducible:         true")
@@ -246,8 +249,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (RuntimeError, ArithmeticError) as exc:
-        # InconsistencyError and an exhausted prime bound are RuntimeErrors;
-        # a failed rho factorization is an ArithmeticError.
+        # InconsistencyError is a RuntimeError; a failed rho factorization
+        # is an ArithmeticError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except BrokenPipeError:

@@ -1,9 +1,68 @@
-"""Ideal counts in Q(sqrt(-3)) and the Dirichlet coefficients of
-(1 - 3^{-s}) * zeta_{Q(sqrt(-3))}(s), plus the sigma_0(P_1(.)) closed form."""
+"""Arithmetic in Z[w] = Z[(-1 + sqrt(-3))/2], ideal counts in Q(sqrt(-3))
+and the Dirichlet coefficients of (1 - 3^{-s}) * zeta_{Q(sqrt(-3))}(s), plus
+the sigma_0(P_1(.)) closed form."""
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .arith import chi3, divisors, factorize
+from .padic import InconsistencyError, _sqrt_mod_p
+
+
+def _mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """Product in Z[w], elements x + y*w written (x, y), with w^2 = -1 - w."""
+    (x1, y1), (x2, y2) = u, v
+    return (x1 * x2 - y1 * y2, x1 * y2 + x2 * y1 - y1 * y2)
+
+
+def _conj(u: tuple[int, int]) -> tuple[int, int]:
+    x, y = u
+    return (x - y, -y)
+
+
+def _one_mod_3(u: tuple[int, int]) -> tuple[int, int]:
+    """The associate of u (prime to 3) that is = 1 (mod 3).
+
+    The six units are distinct mod 3 and fill (Z[w]/3)*, so exactly one of
+    the associates -w^k * u, +w^k * u qualifies.
+    """
+    x, y = u
+    for _ in range(3):
+        if y % 3 == 0:
+            return (x, y) if x % 3 == 1 else (-x, -y)
+        x, y = -y, x - y  # times w
+    raise InconsistencyError(f"{u} is not prime to 3")
+
+
+def _cornacchia(p: int) -> tuple[int, int]:
+    """The prime pi = 1 (mod 3) of Z[w] of norm p, for a prime p = 1 (mod 3);
+    the census walk and the per-cubic valuations both use this one.
+
+    Cornacchia's algorithm (Cohen, GTM 138, 1.5.2) solves u^2 + 3v^2 = p from
+    a square root of -3 mod p; then u + v*sqrt(-3) = (u + v) + 2v*w.
+    """
+    r, m = p, _sqrt_mod_p(p - 3, p)
+    if 2 * m < p:
+        m = p - m
+    while m * m > p:
+        r, m = m, r % m
+    v2, rem = divmod(p - m * m, 3)
+    v = isqrt(v2)
+    if rem or v * v != v2:
+        raise InconsistencyError(f"Cornacchia found no u^2 + 3v^2 = {p}")
+    return _one_mod_3((m + v, 2 * v))
+
+
+def _valuation_at(alpha: tuple[int, int], pi: tuple[int, int], p: int) -> int:
+    """v_pi(alpha) for a nonzero alpha and a prime pi of norm p, by exact
+    division: pi divides alpha iff p divides alpha * conj(pi)."""
+    v, pibar = 0, _conj(pi)
+    while True:
+        x, y = _mul(alpha, pibar)
+        if x % p or y % p:
+            return v
+        alpha, v = (x // p, y // p), v + 1
 
 
 def ideal_count(n: int) -> int:

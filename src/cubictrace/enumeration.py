@@ -3,9 +3,10 @@
 Enumeration is driven by the t-coefficient a.  With h = 1 - 3a, the b whose
 discriminant is a nonzero square correspond to the elements of norm h^3 in
 Z[w], which are generated from the factorization of h (Cornacchia for each
-split prime) instead of testing every b in the interval b_range(a).  Each
-such cubic is then checked for irreducibility and cyclicity and classified
-by its (conductor, cubic character) key.
+split prime) instead of testing every b in the interval b_range(a).  The
+walk builds each alpha from its valuations j_i at the split primes, and
+those alone give the conductor (the p_i with 3 not dividing j_i), the
+irreducibility (conductor > 1) and the cubic character; see `fields`.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from functools import lru_cache
 from math import isqrt
 
 from .arith import factorize
-from .eisenstein import series_coeff
-from .fields import FieldClass, field_invariants
-from .padic import InconsistencyError, _sqrt_mod_p
-from .poly import TraceOnePoly, discriminant, is_cyclic, is_irreducible
+from .eisenstein import _conj, _cornacchia, _mul, series_coeff
+from .fields import FieldClass, _field_class
+from .padic import InconsistencyError
+from .poly import TraceOnePoly
 
 
 def b_range(a: int) -> range:
@@ -44,52 +45,9 @@ def b_range(a: int) -> range:
     return range(lo, hi + 1)
 
 
-def _mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    """Product in Z[w], elements x + y*w written (x, y), with w^2 = -1 - w."""
-    (x1, y1), (x2, y2) = u, v
-    return (x1 * x2 - y1 * y2, x1 * y2 + x2 * y1 - y1 * y2)
-
-
-def _conj(u: tuple[int, int]) -> tuple[int, int]:
-    x, y = u
-    return (x - y, -y)
-
-
-def _cornacchia(p: int) -> tuple[int, int]:
-    """An element of Z[w] of norm p, for a prime p = 1 (mod 3).
-
-    Cornacchia's algorithm (Cohen, GTM 138, 1.5.2) solves u^2 + 3v^2 = p from
-    a square root of -3 mod p; then u + v*sqrt(-3) = (u + v) + 2v*w.
-    """
-    r, m = p, _sqrt_mod_p(p - 3, p)
-    if 2 * m < p:
-        m = p - m
-    while m * m > p:
-        r, m = m, r % m
-    v2, rem = divmod(p - m * m, 3)
-    v = isqrt(v2)
-    if rem or v * v != v2:
-        raise InconsistencyError(f"Cornacchia found no u^2 + 3v^2 = {p}")
-    return (m + v, 2 * v)
-
-
-def _one_mod_3(u: tuple[int, int]) -> tuple[int, int]:
-    """The associate of u (prime to 3) that is = 1 (mod 3).
-
-    The six units are distinct mod 3 and fill (Z[w]/3)*, so exactly one of
-    the associates -w^k * u, +w^k * u qualifies.
-    """
-    x, y = u
-    for _ in range(3):
-        if y % 3 == 0:
-            return (x, y) if x % 3 == 1 else (-x, -y)
-        x, y = -y, x - y  # times w
-    raise InconsistencyError(f"{u} is not prime to 3")
-
-
 def _norm_cube_elements(h: int):
     """Lazily, every alpha = x + y*w of norm h^3 with alpha = 2 (mod 3), for
-    h prime to 3.
+    h prime to 3, each with its valuations ((p_i, j_i), ...).
 
     By unique factorization alpha = u * r * prod pi_i^j_i conj(pi_i)^(3e_i-j_i)
     over the split primes p_i = pi_i conj(pi_i), where p_i^e_i exactly divides
@@ -107,26 +65,26 @@ def _norm_cube_elements(h: int):
                 return
             rational *= (-p) ** (3 * e // 2)
             continue
-        pi = _one_mod_3(_cornacchia(p))
+        pi = _cornacchia(p)
         pows = [(1, 0)]
         for _ in range(3 * e):
             pows.append(_mul(pows[-1], pi))
-        choices.append([_mul(pows[j], _conj(pows[3 * e - j]))
+        choices.append([((p, j), _mul(pows[j], _conj(pows[3 * e - j])))
                         for j in range(3 * e + 1)])
 
-    def walk(i: int, alpha: tuple[int, int]):
+    def walk(i: int, alpha: tuple[int, int], js: tuple):
         if i == len(choices):
-            yield alpha
+            yield alpha, js
             return
-        for factor in choices[i]:
-            yield from walk(i + 1, _mul(alpha, factor))
+        for pj, factor in choices[i]:
+            yield from walk(i + 1, _mul(alpha, factor), (*js, pj))
 
-    yield from walk(0, (rational, 0))
+    yield from walk(0, (rational, 0), ())
 
 
-def _square_disc_bs(a: int) -> list[int]:
-    """b values in b_range(a) whose discriminant is a positive perfect square,
-    ascending.
+def _square_disc_alphas(a: int):
+    """(b, valuations of alpha) for each b in b_range(a) whose discriminant
+    is a positive perfect square, in walk order.
 
     With h = 1 - 3a and q = 9a + 27b - 2, disc = (4h^3 - q^2)/27, so
     disc = s^2 exactly when alpha = (q + 3s*sqrt(-3))/2 = x + y*w, with
@@ -135,8 +93,7 @@ def _square_disc_bs(a: int) -> list[int]:
     disc = 0) and q = 9a - 2 (mod 27).
     """
     rng = b_range(a)
-    out = []
-    for x, y in _norm_cube_elements(1 - 3 * a):
+    for (x, y), js in _norm_cube_elements(1 - 3 * a):
         top = 2 * x - y - 9 * a + 2
         if y > 0 and top % 27 == 0:
             b = top // 27
@@ -144,22 +101,21 @@ def _square_disc_bs(a: int) -> list[int]:
                 raise InconsistencyError(
                     f"b = {b} has a square discriminant but lies outside "
                     f"b_range({a})")
-            out.append(b)
-    return sorted(out)
+            yield b, js
+
+
+def _square_disc_bs(a: int) -> list[int]:
+    """The b of _square_disc_alphas(a), ascending."""
+    return sorted(b for b, _js in _square_disc_alphas(a))
 
 
 @lru_cache(maxsize=1 << 16)
 def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...]:
-    """All cyclic trace-one cubics with this a, each with its field class."""
-    out = []
-    for b in _square_disc_bs(a):
-        f = TraceOnePoly(a, b)
-        if is_irreducible(f):
-            if not is_cyclic(f):
-                raise InconsistencyError(
-                    f"{f} has a square discriminant but is not cyclic")
-            out.append((f, field_invariants(f)))
-    return tuple(out)
+    """All cyclic trace-one cubics with this a, each with its field class,
+    ascending in b.  The class comes from the valuations of alpha; an alpha
+    with conductor 1 is a reducible cubic and is dropped."""
+    classes = ((b, _field_class(js)) for b, js in sorted(_square_disc_alphas(a)))
+    return tuple((TraceOnePoly(a, b), k) for b, k in classes if k is not None)
 
 
 def polys_for_a(a: int) -> list[tuple[TraceOnePoly, int]]:

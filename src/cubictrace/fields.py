@@ -1,24 +1,25 @@
-"""Global invariants of a cyclic trace-one cubic: the conductor, read off
-gcd(q, sqrt(disc)) without local analysis, the field discriminant, the cubic
-character that keys the field, and the field-isomorphism test."""
+"""Global invariants of a cyclic trace-one cubic, read off one element of
+Z[w]: the conductor, the field discriminant, the cubic character that keys
+the field, and the field-isomorphism test.
+
+With h = 1 - 3a, q = 9a + 27b - 2 and s = sqrt(disc), alpha = (q + 3s
+sqrt(-3))/2 has norm h^3 and K(w) = Q(w, alpha^(1/3)).  Let j = v_pi(alpha)
+at the prime pi = 1 (mod 3) over each split p | h.  By Kummer p ramifies iff
+3 does not divide j (3 never does: a root has trace 1, so K is tame by
+Noether); c = 1, all j = 0 mod 3, exactly when f is reducible.  By cubic
+reciprocity (Ireland & Rosen, ch. 9), chi = prod chi_p^(j s_p).  For a
+single cubic, j comes from dividing alpha by pi at the primes of gcd(q, s)."""
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .arith import factorize, primes
-from .padic import InconsistencyError, SplittingType, splitting_type
+from .arith import factorize
+from .eisenstein import _cornacchia, _valuation_at
+from .padic import InconsistencyError
 from .poly import TraceOnePoly, discriminant, is_cyclic
-
-DEFAULT_MAX_PRIME = 10**6
-
-
-def _max_key_prime() -> int:
-    return int(os.environ.get("CUBICTRACE_MAX_PRIME", DEFAULT_MAX_PRIME))
 
 
 def _primitive_root(p: int) -> int:
@@ -27,13 +28,6 @@ def _primitive_root(p: int) -> int:
     qs = [q for q, _ in factorize(p - 1)]
     return next(g for g in range(2, p)
                 if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
-
-
-def _index(x: int, p: int, zeta: int) -> int:
-    """ind_p(x) in {0, 1, 2}, read off x^((p-1)/3) = zeta^ind_p(x) mod p,
-    where zeta = g^((p-1)/3)."""
-    r = pow(x, (p - 1) // 3, p)
-    return 0 if r == 1 else 1 if r == zeta else 2
 
 
 def _cube_cosets(p: int) -> tuple[list[int], list[int], list[int]]:
@@ -104,68 +98,49 @@ class FieldClass:
         }
 
 
-def cubic_character(f: TraceOnePoly, conductor: int | None = None,
-                    max_prime: int | None = None) -> tuple[int, ...]:
-    """Exponents (1, e_2, ..., e_k) of the cubic character of the root field.
+@lru_cache(maxsize=1 << 12)
+def _omega_exponent(p: int) -> int:
+    """s in {1, 2} with w = zeta^s mod pi, for pi = _cornacchia(p) and
+    zeta = g^((p-1)/3): then (x/pi)_3 = w^(s ind_p(x)) for x prime to p."""
+    x, y = _cornacchia(p)
+    zeta = pow(_primitive_root(p), (p - 1) // 3, p)
+    return 1 if -x * pow(y, -1, p) % p == zeta else 2
 
-    A prime q not dividing c splits exactly when sum e_i ind_{p_i}(q) = 0
-    mod 3.  Primes are classified by splitting_type in increasing order and
-    each one filters the 2^(k-1) candidates; the search stops once a single
-    candidate is left and at least one prime has split.  A ramified q, or a
-    prime no candidate matches, is an inconsistency.
-    """
-    c = conductor_of(f) if conductor is None else conductor
-    fac = list(factorize(c))
-    if not fac or any(p % 3 != 1 or e != 1 for p, e in fac):
-        raise InconsistencyError(
-            f"{c} is not the conductor of a tame cyclic cubic field")
-    ps = [p for p, _ in fac]
-    zetas = [pow(_primitive_root(p), (p - 1) // 3, p) for p in ps]
-    candidates = [(1, *es) for es in itertools.product((1, 2), repeat=len(ps) - 1)]
-    bound = max_prime if max_prime is not None else _max_key_prime()
-    seen_split = False
-    for q in primes():
-        if seen_split and len(candidates) == 1:
-            return candidates[0]
-        if q > bound:
-            raise RuntimeError(
-                f"prime bound {bound} exhausted keying {f} (conductor {c}, "
-                f"{len(candidates)} candidate characters left)")
-        if c % q == 0:
-            continue
-        kind = splitting_type(f, q)
-        if kind is SplittingType.RAMIFIED:
-            raise InconsistencyError(f"{q} ramified but coprime to conductor {c}")
-        split = kind is SplittingType.SPLIT
-        seen_split |= split
-        ind = [_index(q, p, z) for p, z in zip(ps, zetas)]
-        candidates = [es for es in candidates
-                      if (sum(e * i for e, i in zip(es, ind)) % 3 == 0) == split]
-        if not candidates:
-            raise InconsistencyError(
-                f"no cubic character mod {c} matches the {kind.value} prime {q} of {f}")
+
+def _field_class(exponents) -> FieldClass | None:
+    """The class of the (p, j = v_pi(alpha)) pairs, ascending in p, with
+    pi = _cornacchia(p); None when c = 1, that is when f is reducible."""
+    c, es = 1, []
+    for p, j in exponents:
+        if j % 3:
+            c *= p
+            es.append(j * _omega_exponent(p) % 3)
+    if not es:
+        return None
+    if es[0] == 2:  # chi^2 cuts out the same field as chi
+        es = [3 - e for e in es]
+    return FieldClass(c, tuple(es))
+
+
+def field_invariants(f: TraceOnePoly) -> FieldClass:
+    """Full isomorphism-class descriptor of the root field of f, from the
+    valuations of alpha at the primes of gcd(q, s)."""
+    if not is_cyclic(f):
+        raise ValueError(f"{f} is not cyclic")
+    q, s = 9 * f.a + 27 * f.b - 2, math.isqrt(discriminant(f))
+    alpha = ((q + 3 * s) // 2, 3 * s)  # q = 2x - y, y = 3s
+    # v_p(gcd(q, s)) = min(j, 3 v_p(h) - j): 3 divides both or neither
+    k = _field_class((p, _valuation_at(alpha, _cornacchia(p), p))
+                     for p, e in factorize(math.gcd(q, s))
+                     if p % 3 == 1 and e % 3)
+    if k is None:
+        raise InconsistencyError(f"{f} is cyclic but no prime ramifies")
+    return k
 
 
 def conductor_of(f: TraceOnePoly) -> int:
-    """Conductor: the product of the ramified primes, read off gcd(q, s).
-
-    With h = 1 - 3a, q = 9a + 27b - 2 and s = sqrt(disc), alpha = (q + 3s
-    sqrt(-3))/2 has norm h^3 and K(w) = Q(w, alpha^(1/3)).  By Kummer, p != 3
-    ramifies iff p = pi conj(pi) splits and 3 does not divide v_pi(alpha);
-    as v_pi + v_conj(pi) = 3 v_p(h), that is 3 not dividing the smaller one,
-    v_p(gcd(q, s)), the content of alpha.  3 never ramifies: a root has
-    trace 1, so Tr(O_K) = Z, and K is tame by Noether's theorem."""
-    if not is_cyclic(f):
-        raise ValueError(f"{f} is not cyclic")
-    content = math.gcd(9 * f.a + 27 * f.b - 2, math.isqrt(discriminant(f)))
-    return math.prod(p for p, e in factorize(content) if p % 3 == 1 and e % 3)
-
-
-@lru_cache(maxsize=1 << 18)
-def field_invariants(f: TraceOnePoly) -> FieldClass:
-    """Full isomorphism-class descriptor of the root field of f."""
-    c = conductor_of(f)
-    return FieldClass(c, cubic_character(f, c))
+    """Conductor: the product of the ramified primes."""
+    return field_invariants(f).conductor
 
 
 def is_isomorphic(f: TraceOnePoly, g: TraceOnePoly) -> bool:

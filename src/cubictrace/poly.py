@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from math import isqrt
 
-from .arith import divisors, is_perfect_square
+from .arith import is_perfect_square
 
 
 class ParseError(ValueError):
@@ -69,19 +69,31 @@ def discriminant(f: TraceOnePoly) -> int:
     return a * a - 4 * a**3 - 18 * a * b + 4 * b - 27 * b * b
 
 
-@lru_cache(maxsize=1 << 18)
+def _root_between(f: TraceOnePoly, lo: int, hi: int, sign: int) -> bool:
+    """Whether f has an integer root in [lo, hi], where sign * f increases:
+    bisect for the least t with sign * f(t) >= 0."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sign * f(mid) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo == hi and f(lo) == 0
+
+
 def is_irreducible(f: TraceOnePoly) -> bool:
-    """Irreducibility over Q: a monic cubic is reducible iff it has an
-    integer root, and any integer root divides the constant term."""
-    if f.b == 0:
-        return False
-    for d in divisors(abs(f.b)):
-        if f(d) == 0 or f(-d) == 0:
-            return False
-    return True
+    """Irreducibility over Q: a monic cubic is reducible iff it has an integer
+    root, found without factoring b by exact bisection on the pieces of the
+    Cauchy bound where f is monotone, split at (1 -+ sqrt(1 - 3a))/3."""
+    a, b = f.a, f.b
+    bound = 1 + max(1, abs(a), abs(b))
+    s = isqrt(max(1 - 3 * a, 0))  # s <= sqrt(1 - 3a) < s + 1; a > 0: f' > 0
+    # -s/3 < t1 <= (1 - s)/3 and (1 + s)/3 <= t2 < (2 + s)/3
+    lo, hi = -s // 3, (1 + s) // 3
+    pieces = [(-bound, lo, 1), (lo + 1, hi, -1), (hi + 1, bound, 1)]
+    return not any(_root_between(f, *piece) for piece in pieces)
 
 
-@lru_cache(maxsize=1 << 18)
 def is_cyclic(f: TraceOnePoly) -> bool:
     """Cyclic cubic root field: irreducible with positive square discriminant."""
     d = discriminant(f)

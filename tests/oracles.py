@@ -1,10 +1,12 @@
 """Slow reference algorithms that the fast paths in `cubictrace` are checked
 against."""
 
+import itertools
 import math
 
-from cubictrace.arith import factorize, primes
+from cubictrace.arith import factorize, is_prime
 from cubictrace.enumeration import b_range
+from cubictrace.fields import FieldClass, _primitive_root
 from cubictrace.padic import (InconsistencyError, SplittingType, roots_mod_p,
                               splitting_type, valuation)
 from cubictrace.poly import discriminant, is_cyclic
@@ -14,6 +16,16 @@ from cubictrace.poly import discriminant, is_cyclic
 _SCAN_MODULUS = 2520
 _SCAN_SQUARES = {r * r % _SCAN_MODULUS for r in range(_SCAN_MODULUS)}
 _LIFT_SET_CAP = 2_000_000
+
+
+def primes():
+    """Ascending prime generator (unbounded, Miller-Rabin backed)."""
+    yield 2
+    n = 3
+    while True:
+        if is_prime(n):
+            yield n
+        n += 2
 
 
 def euler_phi(n: int) -> int:
@@ -81,6 +93,63 @@ def conductor_padic(f) -> int:
                     f"ramified prime {p} of {f} is not 1 mod 3 (wild or misclassified)")
             c *= p
     return c
+
+
+def _index(x: int, p: int, zeta: int) -> int:
+    """ind_p(x) in {0, 1, 2}, read off x^((p-1)/3) = zeta^ind_p(x) mod p,
+    where zeta = g^((p-1)/3)."""
+    r = pow(x, (p - 1) // 3, p)
+    return 0 if r == 1 else 1 if r == zeta else 2
+
+
+def cubic_character(f, conductor: int | None = None,
+                    max_prime: int = 10**6) -> tuple[int, ...]:
+    """Exponents (1, e_2, ..., e_k) of the cubic character of the root field,
+    in the normalization of `FieldClass`, by a search over primes.
+
+    A prime q not dividing c splits exactly when sum e_i ind_{p_i}(q) = 0
+    mod 3.  Primes are classified by splitting_type in increasing order and
+    each one filters the 2^(k-1) candidates; the search stops once a single
+    candidate is left and at least one prime has split.  A ramified q, or a
+    prime no candidate matches, is an inconsistency; running past max_prime
+    is a RuntimeError.
+    """
+    c = conductor_padic(f) if conductor is None else conductor
+    fac = list(factorize(c))
+    if not fac or any(p % 3 != 1 or e != 1 for p, e in fac):
+        raise InconsistencyError(
+            f"{c} is not the conductor of a tame cyclic cubic field")
+    ps = [p for p, _ in fac]
+    zetas = [pow(_primitive_root(p), (p - 1) // 3, p) for p in ps]
+    candidates = [(1, *es) for es in itertools.product((1, 2), repeat=len(ps) - 1)]
+    seen_split = False
+    for q in primes():
+        if seen_split and len(candidates) == 1:
+            return candidates[0]
+        if q > max_prime:
+            raise RuntimeError(
+                f"prime bound {max_prime} exhausted keying {f} (conductor {c}, "
+                f"{len(candidates)} candidate characters left)")
+        if c % q == 0:
+            continue
+        kind = splitting_type(f, q)
+        if kind is SplittingType.RAMIFIED:
+            raise InconsistencyError(f"{q} ramified but coprime to conductor {c}")
+        split = kind is SplittingType.SPLIT
+        seen_split |= split
+        ind = [_index(q, p, z) for p, z in zip(ps, zetas)]
+        candidates = [es for es in candidates
+                      if (sum(e * i for e, i in zip(es, ind)) % 3 == 0) == split]
+        if not candidates:
+            raise InconsistencyError(
+                f"no cubic character mod {c} matches the {kind.value} prime {q} of {f}")
+
+
+def field_class_oracle(f):
+    """The FieldClass of f by p-adic lifting and the prime search, sharing
+    nothing with the valuations of alpha."""
+    c = conductor_padic(f)
+    return FieldClass(c, cubic_character(f, c))
 
 
 def square_disc_bs_scan(a: int) -> list[int]:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cubictrace.arith import (chi3, divisors, factorize, is_prime,
-                              is_perfect_square, primes)
-from oracles import euler_phi, subgroup_closure
+                              is_perfect_square)
+from oracles import euler_phi, primes, subgroup_closure
 
 
 class TestIsPrime:

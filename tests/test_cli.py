@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import inputs
 import pytest
 
 from cubictrace import cli
@@ -12,8 +13,9 @@ from cubictrace.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, main
 from cubictrace.enumeration import enumerate_field
 from cubictrace.fields import field_invariants
 from cubictrace.padic import InconsistencyError
-from cubictrace.poly import TraceOnePoly, parse_poly
+from cubictrace.poly import parse_poly
 
+IDENTIFY_INPUT = inputs.identify_inputs(0)[0]  # (a, b, conductor)
 K49_POLY = "t^3 - t^2 - 2t + 1"
 K169_POLY = "t^3 - t^2 - 4t - 1"
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -26,14 +28,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def spawn(*argv, **env):
-    """The CLI in a fresh interpreter, so no in-process cache is shared, with
-    stdout block-buffered (PYTHONUNBUFFERED unset) as in a shell pipeline."""
-    env = dict(os.environ, **env, PYTHONUNBUFFERED="", PYTHONPATH=os.pathsep.join(
+def spawn_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout,
+    with stdout block-buffered (PYTHONUNBUFFERED unset) as in a shell
+    pipeline."""
+    return dict(os.environ, PYTHONUNBUFFERED="", PYTHONPATH=os.pathsep.join(
         filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+
+
+def spawn(*argv):
+    """The CLI in a fresh interpreter, so no in-process cache is shared."""
     return subprocess.Popen([sys.executable, "-m", "cubictrace.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env)
+                            env=spawn_env())
 
 
 class TestIdentify:
@@ -54,6 +61,18 @@ class TestIdentify:
         assert code == 0
         data = json.loads(out)
         assert data["conductor"] == 7 and data["subgroup"] == [1, 6]
+
+    @pytest.mark.parametrize("poly, conductor", [
+        ("-2,1", 7), ("-30,-27", 91), ("-30,64", 91),
+        ("{},{}".format(*IDENTIFY_INPUT[:2]), IDENTIFY_INPUT[2]),
+    ])
+    def test_json_layout_is_json_dumps(self, capsys, poly, conductor):
+        # the subgroup is joined by hand; the bytes must be json.dumps's
+        code, out, _ = run(capsys, "identify", "--poly", poly, "--format", "json")
+        data = json.loads(out)
+        assert code == 0 and data["conductor"] == conductor
+        assert data["subgroup"] == sorted(field_invariants(parse_poly(poly)).subgroup)
+        assert out == json.dumps(data, indent=2) + "\n"
 
     def test_reducible_exits_3(self, capsys):
         code, _, err = run(capsys, "identify", "--poly", "t^3 - t^2")
@@ -235,12 +254,28 @@ class TestExitPaths:
         assert proc.returncode == EXIT_BROKEN_PIPE == 141
         assert err == b""
 
-    def test_exhausted_prime_bound_exits_4(self):
-        proc = spawn("isomorphic", "-2,1", "-4,-1", CUBICTRACE_MAX_PRIME="3")
-        out, err = proc.communicate(timeout=60)
+    def test_internal_error_in_fresh_interpreter_exits_4(self):
+        script = (
+            "import sys\n"
+            "from cubictrace import cli\n"
+            "from cubictrace.padic import InconsistencyError\n"
+            "def broken(f, g):\n"
+            "    raise InconsistencyError('broken invariant')\n"
+            "cli.is_isomorphic = broken\n"
+            "sys.exit(cli.main(['isomorphic', '-2,1', '-4,-1']))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=spawn_env(), timeout=60)
         assert proc.returncode == EXIT_INTERNAL == 4
-        assert out == b""
-        assert err.startswith(b"error: prime bound 3 exhausted")
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: broken invariant\n"
+
+    def test_large_semiprime_b_exits_3(self):
+        # |b| is a 30-digit semiprime, which takes seconds to factor; the
+        # irreducibility and square tests must not need its factors
+        proc = spawn("identify", "--poly", "-5,100000000000034700000000001147")
+        out, err = proc.communicate(timeout=5)
+        assert proc.returncode == 3 and out == b""
+        assert err.startswith(b"error: ") and b"not cyclic" in err
         assert err.count(b"\n") == 1
 
     @pytest.mark.parametrize("exc", [InconsistencyError, ArithmeticError])

@@ -1,9 +1,28 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cubictrace.eisenstein import (formula3_count, ideal_count,
+from cubictrace.eisenstein import (_cornacchia, _mul, _valuation_at,
+                                   formula3_count, ideal_count,
                                    ideal_count_oracle, mod2_part_is_square,
                                    p1_part, series_coeff)
+
+
+class TestZw:
+    @pytest.mark.parametrize("p", [7, 13, 19, 31, 1009, 1000003])
+    def test_valuation_at(self, p):
+        pi = _cornacchia(p)
+        x, y = pi
+        assert x * x - x * y + y * y == p and (x % 3, y % 3) == (1, 0)
+        # units, the conjugate prime and elements with one coordinate = 0
+        # mod p are not divisible by pi
+        cofactors = [(1, 0), (-1, 0), (0, 1), (x - y, -y), (p, 1), (1, p),
+                     (2, 5), (p + 1, 3 * p)]
+        for beta in cofactors:
+            assert _valuation_at(beta, pi, p) == 0, beta
+            alpha = beta
+            for k in range(1, 5):
+                alpha = _mul(alpha, pi)
+                assert _valuation_at(alpha, pi, p) == k, (beta, k)
 
 
 class TestIdealCount:

@@ -2,8 +2,8 @@ import pytest
 
 from cubictrace import enumeration
 from cubictrace.arith import is_prime
-from cubictrace.eisenstein import ideal_count
-from cubictrace.enumeration import (_cornacchia, _square_disc_bs, b_range,
+from cubictrace.eisenstein import _cornacchia, ideal_count
+from cubictrace.enumeration import (_square_disc_bs, b_range,
                                     classified_polys_for_a, enumerate_all,
                                     enumerate_field, min_height, polys_for_a)
 from cubictrace.fields import field_invariants

@@ -2,16 +2,20 @@ import itertools
 import math
 import os
 
+import inputs
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from cubictrace.arith import is_prime
-from cubictrace.enumeration import _square_disc_bs, enumerate_all, polys_for_a
-from cubictrace.fields import (FieldClass, conductor_of, cubic_character,
-                               field_invariants, is_isomorphic)
+from cubictrace.enumeration import (_square_disc_bs, classified_polys_for_a,
+                                    enumerate_all, polys_for_a)
+from cubictrace.fields import (FieldClass, conductor_of, field_invariants,
+                               is_isomorphic)
 from cubictrace.padic import InconsistencyError, valuation
 from cubictrace.poly import TraceOnePoly, discriminant, is_irreducible
-from oracles import conductor_padic, euler_phi, split_prime_closure
+from oracles import (conductor_padic, cubic_character, euler_phi,
+                     field_class_oracle, split_prime_closure)
 
 _SPLIT_PRIMES = [p for p in range(7, 200) if p % 3 == 1 and is_prime(p)]
 _INERT_PRIMES = [p for p in range(2, 50) if p % 3 == 2 and is_prime(p)]
@@ -71,30 +75,35 @@ class TestConductor:
 
 class TestSplittingSubgroup:
     def test_k49(self):
-        assert cubic_character(TraceOnePoly(-2, 1)) == (1,)
-        assert field_invariants(TraceOnePoly(-2, 1)).subgroup == {1, 6}
+        f = TraceOnePoly(-2, 1)
+        assert field_invariants(f).character == cubic_character(f) == (1,)
+        assert field_invariants(f).subgroup == {1, 6}
 
     def test_k169(self):
-        assert cubic_character(TraceOnePoly(-4, -1)) == (1,)
-        assert field_invariants(TraceOnePoly(-4, -1)).subgroup == {1, 5, 8, 12}
+        f = TraceOnePoly(-4, -1)
+        assert field_invariants(f).character == cubic_character(f) == (1,)
+        assert field_invariants(f).subgroup == {1, 5, 8, 12}
 
     def test_stable_under_defining_poly(self):
-        assert (cubic_character(TraceOnePoly(-37, 29))
-                == cubic_character(TraceOnePoly(-2, 1)))
-        assert (cubic_character(TraceOnePoly(-30, -27))
-                != cubic_character(TraceOnePoly(-30, 64)))
+        def character(a, b):
+            return field_invariants(TraceOnePoly(a, b)).character
+
+        assert character(-37, 29) == character(-2, 1)
+        assert character(-30, -27) != character(-30, 64)
 
     def test_prime_bound_exhaustion(self):
-        with pytest.raises(RuntimeError):
+        # the prime-search oracle stops at its bound
+        with pytest.raises(RuntimeError, match="prime bound 2 exhausted"):
             cubic_character(TraceOnePoly(-2, 1), max_prime=2)
 
-    def test_env_var_override(self):
-        os.environ["CUBICTRACE_MAX_PRIME"] = "2"
-        try:
-            with pytest.raises(RuntimeError):
-                cubic_character(TraceOnePoly(-30, -53))
-        finally:
-            del os.environ["CUBICTRACE_MAX_PRIME"]
+    def test_env_var_override(self, monkeypatch):
+        # the key searches no primes and reads no bound from the
+        # environment; only the oracle, given the bound, runs out
+        monkeypatch.setenv("CUBICTRACE_MAX_PRIME", "2")
+        f = TraceOnePoly(-30, -53)
+        assert field_invariants(f) == field_class_oracle(f)
+        with pytest.raises(RuntimeError):
+            cubic_character(f, max_prime=int(os.environ["CUBICTRACE_MAX_PRIME"]))
 
     def test_wrong_conductor_is_inconsistent(self):
         f = TraceOnePoly(-2, 1)
@@ -125,6 +134,58 @@ class TestSplittingSubgroup:
         for k1, k2 in itertools.combinations(census, 2):
             f, g = census[k1][0], census[k2][0]
             assert is_isomorphic(f, g) is (subgroups[k1] == subgroups[k2])
+
+
+def oracle_census(a: int) -> list:
+    """(f, class) of the cyclic cubics at a: the square-discriminant b,
+    irreducibility by bisection, and the class by the oracles."""
+    fs = [TraceOnePoly(a, b) for b in _square_disc_bs(a)]
+    return [(f, field_class_oracle(f)) for f in fs if is_irreducible(f)]
+
+
+class TestAgainstOracles:
+    """The key from the valuations of alpha against p-adic lifting
+    (conductor_padic) and the prime search (cubic_character), which share
+    nothing with it."""
+
+    def test_census_matches_oracles(self):
+        checked = 0
+        for a in [*range(-3000, 1), -1000000, -1000001, -1000008, -1000022]:
+            expected = oracle_census(a)
+            assert list(classified_polys_for_a(a)) == expected, a
+            checked += len(expected)
+        assert checked > 4000
+
+    def test_dropped_alphas_are_reducible(self):
+        # an alpha with conductor 1 is dropped from the census; sympy must
+        # find its cubic reducible
+        t = sympy.Symbol("t")
+        dropped = 0
+        for a in range(-3000, 1):
+            kept = {f.b for f, _k in classified_polys_for_a(a)}
+            for b in _square_disc_bs(a):
+                if b not in kept:
+                    poly = sympy.Poly(t**3 - t**2 + a * t + b, t)
+                    assert not poly.is_irreducible, (a, b)
+                    dropped += 1
+        assert dropped > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.sampled_from(_SPLIT_PRIMES), st.integers(1, 4),
+                           min_size=1, max_size=3),
+           st.sampled_from([1, *_INERT_PRIMES]))
+    def test_census_matches_oracles_on_drawn_heights(self, split, inert):
+        h = inert**2 * math.prod(p**e for p, e in split.items())
+        assume(h < 10**10)  # keeps sqrt(disc) easy for the oracle to factor
+        a = (1 - h) // 3
+        assert list(classified_polys_for_a(a)) == oracle_census(a)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_per_cubic_matches_oracles(self, seed):
+        for a, b, c in inputs.identify_inputs(seed):
+            f = TraceOnePoly(a, b)
+            assert field_invariants(f) == field_class_oracle(f), f
+            assert field_invariants(f).conductor == c
 
 
 class TestFieldClass:

@@ -25,10 +25,10 @@ def raises_inconsistency_under_O(body: str) -> bool:
     return subprocess.run([sys.executable, "-O", "-c", script], env=env).returncode == 0
 
 
-def test_noncyclic_square_disc_in_enumeration():
+def test_square_disc_b_outside_b_range_in_enumeration():
     assert raises_inconsistency_under_O("""
         from cubictrace import enumeration
-        enumeration.is_cyclic = lambda f: False
+        enumeration.b_range = lambda a: range(0, 0)
 
         def run():
             enumeration.classified_polys_for_a(-2)

@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from cubictrace import arith
 from cubictrace.poly import (ParseError, TraceOnePoly, discriminant,
                              height_sq, is_cyclic, is_irreducible, parse_poly)
 
@@ -53,6 +54,36 @@ class TestIrreducibility:
         assert is_irreducible(TraceOnePoly(-2, 1))
         assert not is_irreducible(TraceOnePoly(0, 0))
         assert not is_irreducible(TraceOnePoly(-1, 1))  # root t = 1
+
+    def test_planted_small_roots(self):
+        # every small root, near the critical points and the piece ends too
+        for r in range(-30, 31):
+            for v in range(-30, 31):
+                f = TraceOnePoly(v - r * (r - 1), -r * v)
+                assert not is_irreducible(f), (r, v)
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    def test_planted_root(self, r, v):
+        # (t - r)(t^2 + (r - 1)t + v) has trace one and the root r
+        f = TraceOnePoly(v - r * (r - 1), -r * v)
+        assert f(r) == 0 and not is_irreducible(f)
+
+    @given(st.integers(-10**4, 10**4), st.integers(-10**9, 10**9))
+    def test_sympy_oracle_wide(self, a, b):
+        f = TraceOnePoly(a, b)
+        assert is_irreducible(f) == _sympy_poly(f).is_irreducible
+
+    def test_large_b_without_factoring(self, monkeypatch):
+        def no_factoring(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(arith, "factorize", no_factoring)
+        # |b| is a 30-digit semiprime, which takes seconds to factor
+        assert is_irreducible(TraceOnePoly(-5, 100000000000034700000000001147))
+        # 40-digit semiprimes b = r * v, r and v prime
+        r, v = 10**19 + 51, 10**20 + 39
+        assert is_irreducible(TraceOnePoly(-5, r * v))
+        assert not is_irreducible(TraceOnePoly(v - r * (r - 1), -r * v))
 
 
 class TestCyclicity:
