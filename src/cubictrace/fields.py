@@ -7,14 +7,13 @@ sqrt(-3))/2 has norm h^3 and K(w) = Q(w, alpha^(1/3)).  Let j = v_pi(alpha)
 at the prime pi = 1 (mod 3) over each split p | h.  By Kummer p ramifies iff
 3 does not divide j (3 never does: a root has trace 1, so K is tame by
 Noether); c = 1, all j = 0 mod 3, exactly when f is reducible.  By cubic
-reciprocity (Ireland & Rosen, ch. 9), chi = prod chi_p^(j s_p).  For a
+reciprocity (Ireland & Rosen, ch. 9), chi = prod (./pi_i)_3^(j_i).  For a
 single cubic, j comes from dividing alpha by pi at the primes of gcd(q, s)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 from .arith import factorize
 from .eisenstein import _cornacchia, _valuation_at
@@ -23,21 +22,27 @@ from .poly import TraceOnePoly, discriminant, is_cyclic
 
 
 def _primitive_root(p: int) -> int:
-    """Least primitive root g mod the prime p; ind_p(x) is the discrete log
-    of x to base g, taken mod 3."""
+    """Least primitive root mod the prime p, found by factoring p - 1; only
+    the subgroup rendering (_cube_cosets) needs one."""
     qs = [q for q, _ in factorize(p - 1)]
     return next(g for g in range(2, p)
                 if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
 
 
 def _cube_cosets(p: int) -> tuple[list[int], list[int], list[int]]:
-    """The residues mod p with ind_p = 0, 1, 2: the cubes C = <g^3>, gC, g^2 C."""
+    """The residues x mod p with (x/pi)_3 = w^k for k = 0, 1, 2, that is
+    x^((p-1)/3) = w^k mod pi, where pi = x_pi + y_pi w = _cornacchia(p) and
+    so w = -x_pi / y_pi mod p: the cubes C = <g^3>, gC and g^2 C for the
+    generator g with g^((p-1)/3) = w."""
+    x, y = _cornacchia(p)
     g = _primitive_root(p)
+    if pow(g, (p - 1) // 3, p) != -x * pow(y, -1, p) % p:
+        g = pow(g, -1, p)  # (g^-1)^((p-1)/3) = w^-2 = w
     h = g * g * g % p
     cubes = [1]
     for _ in range((p - 1) // 3 - 1):
         cubes.append(cubes[-1] * h % p)
-    return cubes, [g * x % p for x in cubes], [g * g * x % p for x in cubes]
+    return cubes, [g * u % p for u in cubes], [g * g * u % p for u in cubes]
 
 
 @dataclass(frozen=True)
@@ -47,8 +52,9 @@ class FieldClass:
     Identified by the conductor c = p_1 ... p_k (p_1 < ... < p_k, each
     = 1 mod 3) and its cubic character chi = prod chi_{p_i}^{e_i}, stored as
     the exponents (e_1, ..., e_k) in {1, 2} normalized so e_1 = 1 (chi and
-    its conjugate chi^2 cut out the same field).  chi_p(x) = w^ind_p(x) for
-    a fixed primitive cube root of unity w.  The field discriminant is c^2.
+    its conjugate chi^2 cut out the same field).  chi_p(x) = (x/pi_p)_3 is
+    the cubic residue symbol at the primary prime pi_p = _cornacchia(p) = 1
+    (mod 3).  The field discriminant is c^2.
     """
 
     conductor: int
@@ -63,7 +69,7 @@ class FieldClass:
         """The index-3 splitting subgroup ker chi of (Z/c)*, built by CRT
         from the cube cosets mod each p_i.  Not cached: it has phi(c)/3
         elements, and the key (conductor, character) does not need it."""
-        by_sum, m = [[0], [], []], 1  # residues mod m by sum e_i ind_i mod 3
+        by_sum, m = [[0], [], []], 1  # residues mod m by sum e_i k_i mod 3
         for (p, _), e in zip(factorize(self.conductor), self.character):
             cosets = _cube_cosets(p)
             u, v = p * pow(p, -1, m), m * pow(m, -1, p)
@@ -74,37 +80,8 @@ class FieldClass:
                       for t in sums]
         return frozenset(by_sum[0])
 
-    @cached_property
-    def canonical_poly(self) -> TraceOnePoly:
-        """The minimal-height member; ties broken by smallest |b|, then b > 0."""
-        from .enumeration import classified_polys_for_a
-
-        a0 = (1 - self.conductor) // 3
-        members = [f for f, k in classified_polys_for_a(a0) if k == self]
-        if not members:
-            raise InconsistencyError(
-                f"no minimal-height polynomial for conductor {self.conductor}")
-        return min(members, key=lambda f: (abs(f.b), f.b < 0))
-
     def __str__(self) -> str:
         return f"K_{self.discriminant}"
-
-    def to_json(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "discriminant": self.discriminant,
-            "subgroup": sorted(self.subgroup),
-            "canonical_poly": str(self.canonical_poly),
-        }
-
-
-@lru_cache(maxsize=1 << 12)
-def _omega_exponent(p: int) -> int:
-    """s in {1, 2} with w = zeta^s mod pi, for pi = _cornacchia(p) and
-    zeta = g^((p-1)/3): then (x/pi)_3 = w^(s ind_p(x)) for x prime to p."""
-    x, y = _cornacchia(p)
-    zeta = pow(_primitive_root(p), (p - 1) // 3, p)
-    return 1 if -x * pow(y, -1, p) % p == zeta else 2
 
 
 def _field_class(exponents) -> FieldClass | None:
@@ -114,7 +91,7 @@ def _field_class(exponents) -> FieldClass | None:
     for p, j in exponents:
         if j % 3:
             c *= p
-            es.append(j * _omega_exponent(p) % 3)
+            es.append(j % 3)
     if not es:
         return None
     if es[0] == 2:  # chi^2 cuts out the same field as chi

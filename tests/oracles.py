@@ -5,8 +5,9 @@ import itertools
 import math
 
 from cubictrace.arith import factorize, is_prime
+from cubictrace.eisenstein import _cornacchia
 from cubictrace.enumeration import b_range
-from cubictrace.fields import FieldClass, _primitive_root
+from cubictrace.fields import FieldClass
 from cubictrace.padic import (InconsistencyError, SplittingType, roots_mod_p,
                               splitting_type, valuation)
 from cubictrace.poly import discriminant, is_cyclic
@@ -95,9 +96,17 @@ def conductor_padic(f) -> int:
     return c
 
 
+def omega_mod_pi(p: int) -> int:
+    """w mod pi_p as a residue mod p, for pi_p = x + y w = _cornacchia(p):
+    x + y w = 0 mod pi_p gives w = -x / y."""
+    x, y = _cornacchia(p)
+    return -x * pow(y, -1, p) % p
+
+
 def _index(x: int, p: int, zeta: int) -> int:
-    """ind_p(x) in {0, 1, 2}, read off x^((p-1)/3) = zeta^ind_p(x) mod p,
-    where zeta = g^((p-1)/3)."""
+    """k in {0, 1, 2} with (x/pi_p)_3 = w^k, read off x^((p-1)/3) = zeta^k
+    mod p, where pi_p = _cornacchia(p) is the primary prime that normalizes
+    `FieldClass` and zeta = omega_mod_pi(p)."""
     r = pow(x, (p - 1) // 3, p)
     return 0 if r == 1 else 1 if r == zeta else 2
 
@@ -107,7 +116,7 @@ def cubic_character(f, conductor: int | None = None,
     """Exponents (1, e_2, ..., e_k) of the cubic character of the root field,
     in the normalization of `FieldClass`, by a search over primes.
 
-    A prime q not dividing c splits exactly when sum e_i ind_{p_i}(q) = 0
+    A prime q not dividing c splits exactly when sum e_i _index(q, p_i) = 0
     mod 3.  Primes are classified by splitting_type in increasing order and
     each one filters the 2^(k-1) candidates; the search stops once a single
     candidate is left and at least one prime has split.  A ramified q, or a
@@ -120,7 +129,7 @@ def cubic_character(f, conductor: int | None = None,
         raise InconsistencyError(
             f"{c} is not the conductor of a tame cyclic cubic field")
     ps = [p for p, _ in fac]
-    zetas = [pow(_primitive_root(p), (p - 1) // 3, p) for p in ps]
+    zetas = [omega_mod_pi(p) for p in ps]
     candidates = [(1, *es) for es in itertools.product((1, 2), repeat=len(ps) - 1)]
     seen_split = False
     for q in primes():

@@ -10,12 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 from cubictrace.arith import is_prime
 from cubictrace.enumeration import (_square_disc_bs, classified_polys_for_a,
                                     enumerate_all, polys_for_a)
-from cubictrace.fields import (FieldClass, conductor_of, field_invariants,
-                               is_isomorphic)
+from cubictrace import fields
+from cubictrace.fields import (FieldClass, _cube_cosets, conductor_of,
+                               field_invariants, is_isomorphic)
 from cubictrace.padic import InconsistencyError, valuation
 from cubictrace.poly import TraceOnePoly, discriminant, is_irreducible
 from oracles import (conductor_padic, cubic_character, euler_phi,
-                     field_class_oracle, split_prime_closure)
+                     field_class_oracle, omega_mod_pi, split_prime_closure)
 
 _SPLIT_PRIMES = [p for p in range(7, 200) if p % 3 == 1 and is_prime(p)]
 _INERT_PRIMES = [p for p in range(2, 50) if p % 3 == 2 and is_prime(p)]
@@ -207,22 +208,34 @@ class TestFieldClass:
             k = field_invariants(f)
             assert euler_phi(k.conductor) == 3 * len(k.subgroup)
 
-    def test_canonical_poly(self):
-        assert field_invariants(TraceOnePoly(-37, 29)).canonical_poly \
-            == TraceOnePoly(-2, 1)
-        assert field_invariants(TraceOnePoly(-4, -1)).canonical_poly \
-            == TraceOnePoly(-4, -1)
-
     def test_equality_and_hash(self):
         k1 = field_invariants(TraceOnePoly(-2, 1))
         k2 = field_invariants(TraceOnePoly(-37, 29))
         assert k1 == k2 and hash(k1) == hash(k2)
         assert k1 == FieldClass(7, (1,))
 
-    def test_to_json(self):
-        d = field_invariants(TraceOnePoly(-2, 1)).to_json()
-        assert d == {"conductor": 7, "discriminant": 49, "subgroup": [1, 6],
-                     "canonical_poly": "t^3 - t^2 - 2t + 1"}
+    def test_cube_cosets_by_primary_prime(self):
+        # coset k holds the x with (x/pi)_3 = w^k, pi = _cornacchia(p)
+        for p in filter(is_prime, range(7, 2000, 3)):
+            w, e = omega_mod_pi(p), (p - 1) // 3
+            by_symbol = [{x for x in range(1, p) if pow(x, e, p) == pow(w, k, p)}
+                         for k in range(3)]
+            assert [set(c) for c in _cube_cosets(p)] == by_symbol, p
+
+    def test_key_builds_no_primitive_root(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError(f"primitive root mod {p} built for a key")
+
+        monkeypatch.setattr(fields, "_primitive_root", refuse)
+        classified_polys_for_a.cache_clear()
+        f = TraceOnePoly(-418581812984887232344126,
+                         -92978126936719999982733389613258424)
+        assert field_invariants(f) == FieldClass(1255745438954661697032379, (1,))
+        classified = [(a, k) for a in range(-300, 1)
+                      for _f, k in classified_polys_for_a(a)]
+        assert len(classified) == 287  # the cyclic trace-one cubics, a >= -300
+        assert all((1 - 3 * a) % k.conductor == 0 and k.character[0] == 1
+                   for a, k in classified)
 
 
 class TestIsomorphism:

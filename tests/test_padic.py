@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cubictrace.padic import (SplittingType, _fp_roots, dedekind_index_test,
-                              lift_root_unramified, lift_root_zp,
-                              roots_mod_p, splitting_type, valuation)
-from cubictrace.arith import factorize
+from cubictrace.padic import (_BRUTE_FORCE_PRIME, SplittingType, _fp_roots,
+                              dedekind_index_test, lift_root_unramified,
+                              lift_root_zp, roots_mod_p, splitting_type,
+                              valuation)
+from cubictrace.arith import factorize, is_prime
 from cubictrace.enumeration import polys_for_a
-from cubictrace.fields import field_invariants
+from cubictrace.fields import is_isomorphic
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic
 
 from oracles import lift_root_zp_bfs
@@ -50,6 +52,10 @@ def _brute_roots(coeffs, p):
             if sum(c * r**i for i, c in enumerate(coeffs)) % p == 0}
 
 
+_PRIMES_ABOVE_THRESHOLD = [p for p in range(_BRUTE_FORCE_PRIME + 1, 20000)
+                           if is_prime(p)]
+
+
 def _random_polys(rng, p, count):
     """Integer polynomials of degree <= 3, ascending coefficients, never
     zero mod p: random ones (leading coefficient sometimes = 0 mod p), and
@@ -81,6 +87,22 @@ class TestFpRoots:
         rng = random.Random(p)
         for coeffs in _random_polys(rng, p, 120):
             assert _fp_roots(coeffs, p) == _brute_roots(coeffs, p), (coeffs, p)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(_PRIMES_ABOVE_THRESHOLD), st.data())
+    def test_matches_brute_force_above_threshold(self, p, data):
+        if data.draw(st.booleans(), label="planted roots"):
+            coeffs = [data.draw(st.integers(1, p - 1), label="lead")]
+            for r in data.draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                        max_size=3), label="roots"):
+                coeffs = [x - r * y for x, y in zip([0, *coeffs], [*coeffs, 0])]
+        else:
+            coeffs = data.draw(st.lists(st.integers(-3 * p, 3 * p), min_size=1,
+                                        max_size=4), label="coeffs")
+        if data.draw(st.booleans(), label="lead = 0 mod p") and len(coeffs) < 4:
+            coeffs.append(p * data.draw(st.integers(-3, 3)))
+        assume(any(c % p for c in coeffs))
+        assert _fp_roots(coeffs, p) == _brute_roots(coeffs, p)
 
     @pytest.mark.parametrize("p", [2, 1031])
     def test_zero_polynomial_rejected(self, p):
@@ -123,8 +145,8 @@ class TestLifting:
         # p not dividing its discriminant decides the answer.
         f, p = TraceOnePoly(-1000022, 4734241), 285705181
         assert discriminant(f) == 7**2 * p**2
-        g = field_invariants(f).canonical_poly
-        assert discriminant(g) % p
+        g = TraceOnePoly(-2, 1)
+        assert is_isomorphic(f, g) and discriminant(g) % p
         assert lift_root_zp(f, p) == (len(roots_mod_p(g, p)) == 3)
 
     def test_zp_implies_unramified(self):
