@@ -17,6 +17,10 @@ TRIAL_DIVISION_BOUND = 10**6
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+class InconsistencyError(RuntimeError):
+    """Internal contradiction: the input violates an assumed invariant."""
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Prime factorization as an ordered tuple of (prime, exponent) pairs.

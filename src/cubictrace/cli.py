@@ -189,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "field classification, and ideal-count verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "csv", "json"),
+    def add_format(p, *extra):
+        p.add_argument("--format", choices=("text", *extra, "json"),
                        default="text")
 
     p = sub.add_parser("identify", help="classify the root field of a cubic")
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-norm", type=_positive, required=True)
     p.add_argument("--nonzero-only", action="store_true",
                    help="omit rows with no polynomials")
-    add_format(p)
+    add_format(p, "csv")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("count", help="polynomials in a field at fixed a")
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=_positive, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="use the divisor-sum algorithm")
-    add_format(p)
+    add_format(p, "csv")
     p.set_defaults(func=cmd_zeta_coeffs)
 
     p = sub.add_parser("verify", help="check counts against zeta coefficients")

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .arith import chi3, divisors, factorize
-from .padic import InconsistencyError, _sqrt_mod_p
+from .arith import InconsistencyError, chi3, divisors, factorize
 
 
 def _mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
@@ -33,6 +32,33 @@ def _one_mod_3(u: tuple[int, int]) -> tuple[int, int]:
             return (x, y) if x % 3 == 1 else (-x, -y)
         x, y = -y, x - y  # times w
     raise InconsistencyError(f"{u} is not prime to 3")
+
+
+def _sqrt_mod_p(n: int, p: int) -> int:
+    """Tonelli-Shanks square root mod an odd prime; n must be a QR."""
+    n %= p
+    if n == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    # find the least quadratic non-residue (deterministic)
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 def _cornacchia(p: int) -> tuple[int, int]:

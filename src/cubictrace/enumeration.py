@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .arith import factorize
+from .arith import InconsistencyError, factorize
 from .eisenstein import _conj, _cornacchia, _mul, series_coeff
 from .fields import FieldClass, _field_class
-from .padic import InconsistencyError
 from .poly import TraceOnePoly
 
 
@@ -142,16 +141,12 @@ class EnumerationRow:
 
 
 def _row(k: FieldClass, n: int) -> EnumerationRow:
-    c = k.conductor
-    h2 = c * n
+    h2 = k.conductor * n
     predicted = series_coeff(n)
     if (1 - h2) % 3 != 0:
         return EnumerationRow(n, None, (), predicted)
-    a = (1 - h2) // 3
-    if a > 0:
-        return EnumerationRow(n, None, (), predicted)
-    members = tuple(sorted((f for f, kk in classified_polys_for_a(a) if kk == k),
-                           key=lambda f: f.b))
+    a = (1 - h2) // 3  # <= 0, since h2 >= 1
+    members = tuple(f for f, kk in classified_polys_for_a(a) if kk == k)
     return EnumerationRow(n, a, members, predicted)
 
 
@@ -162,18 +157,14 @@ def enumerate_field(k: FieldClass, n_max: int) -> list[EnumerationRow]:
     return [_row(k, n) for n in range(1, n_max + 1)]
 
 
-def min_height(k: FieldClass, n_limit: int = 64) -> int:
-    """Smallest H^2 = c*N with a member of F_K; equals the conductor."""
-    for n in range(1, n_limit + 1):
-        row = _row(k, n)
-        if row.count:
-            h2 = k.conductor * n
-            if h2 != k.conductor:
-                raise InconsistencyError(
-                    f"minimal height {h2} differs from conductor {k.conductor}")
-            return h2
-    raise RuntimeError(
-        f"no member of conductor-{k.conductor} class found up to N = {n_limit}")
+def min_height(k: FieldClass) -> int:
+    """Smallest H^2 = c*N with a member of F_K; equals the conductor, so
+    only the row N = 1 is checked."""
+    if not _row(k, 1).count:
+        raise InconsistencyError(
+            f"no member of the conductor-{k.conductor} class at H^2 = "
+            f"{k.conductor}")
+    return k.conductor
 
 
 def enumerate_all(a_min: int) -> dict[FieldClass, list[TraceOnePoly]]:

@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize
+from .arith import InconsistencyError, factorize
 from .eisenstein import _cornacchia, _valuation_at
-from .padic import InconsistencyError
 from .poly import TraceOnePoly, discriminant, is_cyclic
 
 
@@ -59,6 +58,12 @@ class FieldClass:
 
     conductor: int
     character: tuple[int, ...]
+
+    def __post_init__(self):
+        es = self.character  # count() beats a set check: the key is hot
+        if not es or es[0] != 1 or es.count(1) + es.count(2) != len(es):
+            raise ValueError(f"character {es} is not normalized: entries in "
+                             "{1, 2}, the first equal to 1")
 
     @property
     def discriminant(self) -> int:

@@ -13,13 +13,10 @@ from __future__ import annotations
 import enum
 import itertools
 
+from .arith import InconsistencyError
 from .poly import TraceOnePoly, discriminant, is_cyclic
 
 _BRUTE_FORCE_PRIME = 1024
-
-
-class InconsistencyError(RuntimeError):
-    """Internal contradiction: the input violates an assumed invariant."""
 
 
 class SplittingType(enum.Enum):
@@ -105,37 +102,6 @@ def _ppow_mod(base, e: int, modpoly, p):
     return result
 
 
-def _sqrt_mod_p(n: int, p: int) -> int:
-    """Tonelli-Shanks square root mod an odd prime; n must be a QR."""
-    n %= p
-    if n == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    # find the least quadratic non-residue (deterministic)
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _fbar(f: TraceOnePoly, p: int):
-    return _pnorm([f.b, f.a, -1, 1], p)
-
-
 def _split_roots(poly, p: int) -> set[int]:
     """Roots of a monic polynomial over F_p, p odd, known to split into
     distinct linear factors: gcd(poly, (x + c)^((p-1)/2) - 1) separates the
@@ -206,17 +172,13 @@ def _has_root(coeffs, p: int, depth: int, unramified: bool) -> bool:
     roots = _fp_roots(cbar, p)
     if unramified and len(cbar) - 1 == 3 and not roots:
         return True  # irreducible cubic reduction: roots generate W
-    dbar = _pnorm([i * c for i, c in enumerate(cbar)][1:], p)
     multiple = []
     for r in sorted(roots):
-        acc = 0
-        for c in reversed(dbar):
-            acc = (acc * r + c) % p
-        if acc != 0:
+        shifted = _shift_scale(coeffs, r, p)  # [G(r), G'(r) p, ...]
+        if shifted[1] % (p * p):
             return True  # simple residue root lifts into Z_p, hence into W
-        multiple.append(r)
-    for r in multiple:
-        shifted = _shift_scale(coeffs, r, p)
+        multiple.append(shifted)
+    for shifted in multiple:
         mu = min(valuation(c, p) for c in shifted if c)
         reduced = [c // p**mu for c in shifted]
         if _has_root(reduced, p, depth - mu, unramified):
@@ -280,40 +242,8 @@ def splitting_type(f: TraceOnePoly, p: int) -> SplittingType:
 
 
 def dedekind_index_test(f: TraceOnePoly, p: int) -> bool:
-    """Dedekind's criterion: does p divide the index [O_K : Z[theta]]?
-
-    Factor f mod p, set g = product of the distinct irreducible factors,
-    h = f/g mod p, T = (g*h - f)/p; p divides the index iff
-    gcd(T, g, h) != 1 in F_p[x].
-    """
-    fb = _fbar(f, p)
-    roots = roots_mod_p(f, p)
-    radical = (1,)
-    for r in sorted(roots):
-        radical = _pmul(radical, ((-r) % p, 1), p)
-    # strip all linear root factors to expose a rootless residual factor
-    residual = fb
-    for r in sorted(roots):
-        while True:
-            q, rem = _pdivmod(residual, ((-r) % p, 1), p)
-            if rem:
-                break
-            residual = q
-    if len(residual) > 1:
-        radical = _pmul(radical, residual, p)  # irreducible (no roots, deg <= 3)
-    hbar = _pdivmod(fb, radical, p)[0]
-    # lift g, h to Z[x] with coefficients in [0, p) and form T = (g*h - f)/p
-    g_int = [c % p for c in radical]
-    h_int = [c % p for c in hbar]
-    gh = [0] * (len(g_int) + len(h_int) - 1)
-    for i, x in enumerate(g_int):
-        for j, y in enumerate(h_int):
-            gh[i + j] += x * y
-    f_int = [f.b, f.a, -1, 1]
-    diff = [x - y for x, y in zip(gh + [0] * (4 - len(gh)), f_int)]
-    if any(c % p for c in diff):
-        raise InconsistencyError(
-            f"g*h differs from {f} mod {p} in Dedekind's criterion")
-    tbar = _pnorm([c // p for c in diff], p)
-    d = _pgcd(_pgcd(tbar, radical, p), hbar, p)
-    return len(d) > 1
+    """Dedekind's criterion (Cohen, GTM 138, Thm 6.1.4) for a cubic: p
+    divides [O_K : Z[theta]] iff p^2 | f(r) at a multiple root r of f mod p
+    (repeated factors are linear; p | f'(r) makes any lift of r do)."""
+    return any(f.derivative(r) % p == 0 and f(r) % (p * p) == 0
+               for r in roots_mod_p(f, p))

@@ -239,6 +239,18 @@ class TestIsomorphic:
 
 
 class TestExitPaths:
+    @pytest.mark.parametrize("argv", [
+        ("identify", "--poly", "-2,1"),
+        ("verify", "--field", "-2,1", "--max-norm", "7"),
+        ("paper-tables",),
+    ], ids=lambda argv: argv[0])
+    def test_csv_only_where_a_schema_exists(self, capsys, argv):
+        # only enumerate and zeta-coeffs have a CSV schema
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, lines_read", [
         # about 200 kB of CSV, more than the pipe holds: print fails
         (("zeta-coeffs", "--max", "20000", "--format", "csv"), 1),

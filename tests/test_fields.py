@@ -214,6 +214,12 @@ class TestFieldClass:
         assert k1 == k2 and hash(k1) == hash(k2)
         assert k1 == FieldClass(7, (1,))
 
+    @pytest.mark.parametrize("character", [(), (2,), (1, 0), (1, 3), (1, -1)])
+    def test_rejects_unnormalized_character(self, character):
+        # (2,) is the conjugate of (1,): accepted, it would key K_49 a second time
+        with pytest.raises(ValueError):
+            FieldClass(7, character)
+
     def test_cube_cosets_by_primary_prime(self):
         # coset k holds the x with (x/pi)_3 = w^k, pi = _cornacchia(p)
         for p in filter(is_prime, range(7, 2000, 3)):

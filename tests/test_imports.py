@@ -1,5 +1,6 @@
 """No module imports a name it never uses, unless it re-exports it in
-`__all__`: an ast walk standing in for a linter's unused-import check."""
+`__all__`: an ast walk standing in for a linter's unused-import check.  The
+same walk keeps `padic` a leaf: the classification never imports it."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 
 _ROOT = Path(__file__).resolve().parent.parent
-_FILES = sorted([*(_ROOT / "src" / "cubictrace").glob("*.py"),
-                 *(_ROOT / "tests").glob("*.py")])
+_SRC = sorted((_ROOT / "src" / "cubictrace").glob("*.py"))
+_FILES = sorted([*_SRC, *(_ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,6 +31,20 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def imported_modules(source: str) -> set[str]:
+    """Last dotted component of every module an import statement names:
+    `from .padic import x` and `from . import padic` both give "padic"."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
 def test_walk_finds_unused_names():
     source = ("from __future__ import annotations\n"
               "import os.path\nimport sys\n"
@@ -42,3 +57,16 @@ def test_walk_finds_unused_names():
 @pytest.mark.parametrize("path", _FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_walk_finds_imported_modules():
+    source = ("from .padic import roots_mod_p\nfrom . import fields\n"
+              "import cubictrace.poly as p\nfrom .arith import factorize\n")
+    assert imported_modules(source) == {"padic", "fields", "poly", "arith"}
+
+
+def test_only_the_package_imports_padic():
+    importers = [path.name for path in _SRC
+                 if path.name not in ("__init__.py", "padic.py")
+                 and "padic" in imported_modules(path.read_text())]
+    assert importers == []

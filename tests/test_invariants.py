@@ -48,13 +48,3 @@ def test_min_height_differs_from_conductor():
             enumeration.min_height(field_invariants(TraceOnePoly(-2, 1)))
     """)
 
-
-def test_dedekind_lift_mismatch():
-    assert raises_inconsistency_under_O("""
-        from cubictrace import padic
-        from cubictrace.poly import TraceOnePoly
-        padic._fbar = lambda f, p: padic._pnorm([f.b + 1, f.a, -1, 1], p)
-
-        def run():
-            padic.dedekind_index_test(TraceOnePoly(-2, 1), 2)
-    """)

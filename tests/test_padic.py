@@ -1,7 +1,9 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.numberfields.basis import round_two
 
 from cubictrace.padic import (_BRUTE_FORCE_PRIME, SplittingType, _fp_roots,
                               dedekind_index_test, lift_root_unramified,
@@ -10,7 +12,7 @@ from cubictrace.padic import (_BRUTE_FORCE_PRIME, SplittingType, _fp_roots,
 from cubictrace.arith import factorize, is_prime
 from cubictrace.enumeration import polys_for_a
 from cubictrace.fields import is_isomorphic
-from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic
+from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic, is_irreducible
 
 from oracles import lift_root_zp_bfs
 
@@ -233,3 +235,31 @@ class TestDedekind:
                 index = dedekind_index_test(f, p)
                 assert ramified != index
                 checked += 1
+
+    def test_matches_round_two_discriminant(self):
+        # p divides the index of Z[theta] iff v_p(disc f) > v_p(d_K); sympy's
+        # round two builds the maximal order, and so d_K, with its own F_p[x]
+        # factoring and the general g*h/T form of the criterion
+        t = sympy.Symbol("t")
+        rng = random.Random(8)
+        cubics = pairs = index = 0
+        while cubics < 300:
+            f = TraceOnePoly(rng.randint(-200, 0), rng.randint(-200, 200))
+            if not is_irreducible(f):
+                continue
+            cubics += 1
+            _zk, dk = round_two(sympy.Poly(t**3 - t**2 + f.a * t + f.b, t))
+            for p, e in factorize(abs(discriminant(f))):
+                got = dedekind_index_test(f, p)
+                assert got == (e > valuation(int(dk), p)), (f, p)
+                pairs += 1
+                index += got
+        assert pairs > 800 and index > 100
+
+    def test_prime_above_brute_force_bound(self):
+        # disc = 7^2 * 285705181^2; the large prime takes the Cantor-Zassenhaus
+        # root finder
+        f = TraceOnePoly(-1000022, 4734241)
+        assert 285705181 > _BRUTE_FORCE_PRIME
+        assert dedekind_index_test(f, 285705181)
+        assert not dedekind_index_test(f, 7)
