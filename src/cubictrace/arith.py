@@ -8,7 +8,6 @@ deterministic, and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 TRIAL_DIVISION_BOUND = 10**6
@@ -19,25 +18,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 class InconsistencyError(RuntimeError):
     """Internal contradiction: the input violates an assumed invariant."""
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as an ordered tuple of (prime, exponent) pairs.
-
-    Primes are strictly increasing; the factorization of 1 is empty.
-    """
-
-    entries: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        n = 1
-        for p, e in self.entries:
-            n *= p**e
-        return n
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def is_prime(n: int) -> bool:
@@ -110,8 +90,9 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
 
 
 @lru_cache(maxsize=65536)
-def factorize(n: int) -> Factorization:
-    """Factor a positive integer: trial division to 10^6, then Pollard rho."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor a positive integer into its (prime, exponent) pairs, primes
+    ascending (none for 1): trial division to 10^6, then Pollard rho."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     acc: dict[int, int] = {}
@@ -132,17 +113,7 @@ def factorize(n: int) -> Factorization:
             acc[m] = acc.get(m, 0) + 1
         else:
             _factor_into(m, acc)
-    return Factorization(tuple(sorted(acc.items())))
-
-
-def is_perfect_square(n: int) -> tuple[bool, int | None]:
-    """Exact squareness test; negative n is never a square."""
-    if n < 0:
-        return False, None
-    r = math.isqrt(n)
-    if r * r == n:
-        return True, r
-    return False, None
+    return tuple(sorted(acc.items()))
 
 
 def chi3(n: int) -> int:

@@ -12,8 +12,8 @@ import sys
 from .eisenstein import ideal_count, ideal_count_oracle, series_coeff
 from .enumeration import classified_polys_for_a, enumerate_field
 from .fields import FieldClass, field_invariants, is_isomorphic
-from .poly import (ParseError, TraceOnePoly, discriminant, is_cyclic,
-                   is_irreducible, parse_poly)
+from .poly import (TraceOnePoly, discriminant, is_cyclic, is_irreducible,
+                   parse_poly)
 from .verify import (norm_proportionality_check, reproduce_tables,
                      verify_theorem)
 
@@ -25,17 +25,13 @@ EXIT_INTERNAL = 4  # an internal inconsistency or an exhausted limit
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout early
 
 
-class InvalidInput(Exception):
-    pass
-
-
 def _cyclic_poly(text: str) -> TraceOnePoly:
     f = parse_poly(text)
     if not is_irreducible(f):
-        raise InvalidInput(f"{f} is reducible")
+        raise ValueError(f"{f} is reducible")
     if not is_cyclic(f):
-        raise InvalidInput(f"{f} is irreducible but not cyclic "
-                           f"(discriminant {discriminant(f)} is not a square)")
+        raise ValueError(f"{f} is irreducible but not cyclic "
+                         f"(discriminant {discriminant(f)} is not a square)")
     return f
 
 
@@ -105,7 +101,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_count(args) -> int:
     if args.a > 0:
-        raise InvalidInput(f"a must be <= 0, got {args.a}")
+        raise ValueError(f"a must be <= 0, got {args.a}")
     k = _field_of(args.field)
     c = k.conductor
     h2 = 1 - 3 * args.a
@@ -245,7 +241,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
         return code
-    except (ParseError, InvalidInput, ValueError) as exc:
+    except ValueError as exc:  # ParseError is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (RuntimeError, ArithmeticError) as exc:

@@ -4,6 +4,7 @@ the sigma_0(P_1(.)) closed form."""
 
 from __future__ import annotations
 
+from itertools import count
 from math import isqrt
 
 from .arith import InconsistencyError, chi3, divisors, factorize
@@ -34,41 +35,19 @@ def _one_mod_3(u: tuple[int, int]) -> tuple[int, int]:
     raise InconsistencyError(f"{u} is not prime to 3")
 
 
-def _sqrt_mod_p(n: int, p: int) -> int:
-    """Tonelli-Shanks square root mod an odd prime; n must be a QR."""
-    n %= p
-    if n == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    # find the least quadratic non-residue (deterministic)
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def _cornacchia(p: int) -> tuple[int, int]:
     """The prime pi = 1 (mod 3) of Z[w] of norm p, for a prime p = 1 (mod 3);
     the census walk and the per-cubic valuations both use this one.
 
     Cornacchia's algorithm (Cohen, GTM 138, 1.5.2) solves u^2 + 3v^2 = p from
-    a square root of -3 mod p; then u + v*sqrt(-3) = (u + v) + 2v*w.
+    a square root of -3 mod p; then u + v*sqrt(-3) = (u + v) + 2v*w.  That
+    root is 2w + 1 for a cube root of unity w != 1 mod p (Ireland & Rosen,
+    ch. 9): w = t^((p-1)/3) for the least t >= 2 that is not a cube.
     """
-    r, m = p, _sqrt_mod_p(p - 3, p)
+    if p % 3 != 1:
+        raise InconsistencyError(f"no prime of Z[w] has norm {p} != 1 (mod 3)")
+    w = next(w for w in (pow(t, (p - 1) // 3, p) for t in count(2)) if w != 1)
+    r, m = p, (2 * w + 1) % p
     if 2 * m < p:
         m = p - m
     while m * m > p:
@@ -117,9 +96,9 @@ def ideal_count_oracle(n: int) -> int:
 
 def series_coeff(n: int) -> int:
     """n-th Dirichlet coefficient of (1 - 3^{-s}) * zeta_{Q(sqrt(-3))}(s)."""
-    if n % 3 == 0:
-        return ideal_count(n) - ideal_count(n // 3)
-    return ideal_count(n)
+    if n % 3 or n < 1:
+        return ideal_count(n)
+    return 0  # d_{3m} = d_m: 3 ramifies, so one ideal has norm 3
 
 
 def p1_part(n: int) -> int:

@@ -74,8 +74,14 @@ class FieldClass:
         """The index-3 splitting subgroup ker chi of (Z/c)*, built by CRT
         from the cube cosets mod each p_i.  Not cached: it has phi(c)/3
         elements, and the key (conductor, character) does not need it."""
+        ps = factorize(self.conductor)
+        if (len(ps) != len(self.character)
+                or any(e != 1 or p % 3 != 1 for p, e in ps)):
+            raise ValueError(f"character {self.character} needs "
+                             f"{len(self.character)} distinct primes = 1 "
+                             f"(mod 3) as conductor, not {self.conductor}")
         by_sum, m = [[0], [], []], 1  # residues mod m by sum e_i k_i mod 3
-        for (p, _), e in zip(factorize(self.conductor), self.character):
+        for (p, _), e in zip(ps, self.character):
             cosets = _cube_cosets(p)
             u, v = p * pow(p, -1, m), m * pow(m, -1, p)
             m *= p

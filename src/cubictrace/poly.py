@@ -6,8 +6,6 @@ import re
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import is_perfect_square
-
 
 class ParseError(ValueError):
     """Raised when a polynomial string is not a valid trace-one cubic."""
@@ -97,10 +95,7 @@ def is_irreducible(f: TraceOnePoly) -> bool:
 def is_cyclic(f: TraceOnePoly) -> bool:
     """Cyclic cubic root field: irreducible with positive square discriminant."""
     d = discriminant(f)
-    if d <= 0:
-        return False
-    ok, _ = is_perfect_square(d)
-    return ok and is_irreducible(f)
+    return d > 0 and isqrt(d) ** 2 == d and is_irreducible(f)
 
 
 def height_sq(f: TraceOnePoly) -> int:

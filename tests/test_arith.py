@@ -3,8 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cubictrace.arith import (chi3, divisors, factorize, is_prime,
-                              is_perfect_square)
+from cubictrace.arith import chi3, divisors, factorize, is_prime
 from oracles import euler_phi, primes, subgroup_closure
 
 
@@ -30,18 +29,17 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=10**5))
     def test_reconstruction(self, n):
         fac = factorize(n)
-        assert fac.value() == n
+        assert math.prod(p**k for p, k in fac) == n
         for p, k in fac:
             assert is_prime(p) and k >= 1
 
     def test_entries_sorted_and_distinct(self):
-        fac = factorize(2**5 * 3**2 * 97)
-        assert [p for p, _ in fac] == [2, 3, 97]
-        assert [k for _, k in fac] == [5, 2, 1]
+        assert factorize(2**5 * 3**2 * 97) == ((2, 5), (3, 2), (97, 1))
+        assert factorize(1) == ()
 
     def test_large_semiprime(self):
         p, q = 1_000_003, 1_000_033
-        assert [(p, 1), (q, 1)] == list(factorize(p * q))
+        assert factorize(p * q) == ((p, 1), (q, 1))
 
 
 class TestDivisors:
@@ -66,22 +64,6 @@ class TestChi3:
            st.integers(min_value=1, max_value=10**4))
     def test_multiplicative(self, m, n):
         assert chi3(m * n) == chi3(m) * chi3(n)
-
-
-class TestSquares:
-    @given(st.integers(min_value=0, max_value=10**9))
-    def test_detects_squares(self, n):
-        ok, root = is_perfect_square(n * n)
-        assert ok and root == n
-
-    def test_rejects_near_squares(self):
-        for n in (2, 3, 5, 48, 50, 10**8 + 1):
-            ok, _ = is_perfect_square(n)
-            assert not ok
-
-    def test_negative(self):
-        ok, _ = is_perfect_square(-4)
-        assert not ok
 
 
 class TestSubgroupClosure:

@@ -9,7 +9,7 @@ import inputs
 import pytest
 
 from cubictrace import cli
-from cubictrace.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, main
+from cubictrace.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_USAGE, main
 from cubictrace.enumeration import enumerate_field
 from cubictrace.fields import field_invariants
 from cubictrace.padic import InconsistencyError
@@ -248,7 +248,7 @@ class TestExitPaths:
         # only enumerate and zeta-coeffs have a CSV schema
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--format", "csv"])
-        assert exc.value.code == 2
+        assert exc.value.code == EXIT_USAGE == 2
         assert "invalid choice: 'csv'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, lines_read", [

@@ -1,6 +1,8 @@
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
+from cubictrace.arith import InconsistencyError, is_prime
 from cubictrace.eisenstein import (_cornacchia, _mul, _valuation_at,
                                    formula3_count, ideal_count,
                                    ideal_count_oracle, mod2_part_is_square,
@@ -23,6 +25,21 @@ class TestZw:
             for k in range(1, 5):
                 alpha = _mul(alpha, pi)
                 assert _valuation_at(alpha, pi, p) == k, (beta, k)
+
+    def test_cornacchia_rejects_norms_not_one_mod_3(self):
+        # 3 ramifies, and 2 like every p = 2 (mod 3) stays inert
+        for p in filter(is_prime, range(200)):
+            if p % 3 != 1:
+                with pytest.raises(InconsistencyError):
+                    _cornacchia(p)
+
+    @given(st.integers(min_value=1, max_value=10**30 // 6 - 10**4))
+    def test_cornacchia_large_primes(self, k):
+        p = 6 * k + 1
+        while not sympy.isprime(p):
+            p += 6
+        x, y = _cornacchia(p)
+        assert x * x - x * y + y * y == p and (x % 3, y % 3) == (1, 0)
 
 
 class TestIdealCount:

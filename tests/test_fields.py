@@ -220,6 +220,18 @@ class TestFieldClass:
         with pytest.raises(ValueError):
             FieldClass(7, character)
 
+    @pytest.mark.parametrize("conductor, character", [
+        (49, (1,)),   # a prime square
+        (91, (1,)),   # two primes, one exponent
+        (7, (1, 2)),  # one prime, two exponents
+        (14, (1,)),   # 2 is inert: no primary prime of norm 2
+    ])
+    def test_subgroup_rejects_character_unlike_conductor(self, conductor,
+                                                         character):
+        k = FieldClass(conductor, character)  # the hot key does not factor c
+        with pytest.raises(ValueError, match="distinct primes = 1"):
+            k.subgroup
+
     def test_cube_cosets_by_primary_prime(self):
         # coset k holds the x with (x/pi)_3 = w^k, pi = _cornacchia(p)
         for p in filter(is_prime, range(7, 2000, 3)):

@@ -1,6 +1,7 @@
 """No module imports a name it never uses, unless it re-exports it in
 `__all__`: an ast walk standing in for a linter's unused-import check.  The
-same walk keeps `padic` a leaf: the classification never imports it."""
+same walk keeps `padic` a leaf: the classification never imports it, and
+finds top-level names of the package that no code refers to."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = sorted((_ROOT / "src" / "cubictrace").glob("*.py"))
 _FILES = sorted([*_SRC, *(_ROOT / "tests").glob("*.py")])
+_USERS = [*_FILES, *(_ROOT / "bench").glob("*.py")]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -70,3 +72,43 @@ def test_only_the_package_imports_padic():
                  if path.name not in ("__init__.py", "padic.py")
                  and "padic" in imported_modules(path.read_text())]
     assert importers == []
+
+
+def defined_names(source: str) -> list[str]:
+    """Top-level functions, classes and UPPER_CASE constants of a module."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets
+                      if isinstance(t, ast.Name) and t.id.isupper()]
+    return names
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names loaded, read as an attribute or imported by name; a definition
+    (a def, a class or an assignment) is not a reference."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_walk_finds_defined_and_referenced_names():
+    source = ("import m\nLIMIT = 3\nlower = 4\nclass C: pass\n"
+              "def f(x): return m.g(x) + LIMIT\nfrom .k import h\n")
+    assert defined_names(source) == ["LIMIT", "C", "f"]
+    assert referenced_names(source) == {"m", "g", "x", "LIMIT", "h"}
+
+
+def test_no_dead_top_level_names():
+    used = set().union(*(referenced_names(p.read_text()) for p in _USERS))
+    dead = [f"{path.stem}.{name}" for path in _SRC
+            for name in defined_names(path.read_text()) if name not in used]
+    assert dead == []

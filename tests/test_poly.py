@@ -93,6 +93,7 @@ class TestCyclicity:
         assert is_cyclic(TraceOnePoly(-37, 29))
         assert not is_cyclic(TraceOnePoly(-2, 2))  # disc 8, not a square
         assert not is_cyclic(TraceOnePoly(0, 0))
+        assert not is_cyclic(TraceOnePoly(1, 1))  # irreducible, disc -44
 
     def test_cyclic_implies_square_positive_disc(self):
         for a in range(-50, 1):
