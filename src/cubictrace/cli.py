@@ -4,12 +4,13 @@ coefficients, verification, and table reproduction."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
 
-from .eisenstein import ideal_count, ideal_count_oracle, series_coeff
+from .eisenstein import ideal_count, ideal_count_oracle
 from .enumeration import classified_polys_for_a, enumerate_field
 from .fields import FieldClass, field_invariants, is_isomorphic
 from .poly import (TraceOnePoly, discriminant, is_cyclic, is_irreducible,
@@ -42,6 +43,7 @@ def _field_of(text: str) -> FieldClass:
 def cmd_identify(args) -> int:
     f = _cyclic_poly(args.poly)
     k = field_invariants(f)
+    sub = k.subgroup  # ascending; may refuse, so before any output
     disc = discriminant(f)
     index_sq = disc // k.discriminant
     if args.format == "json":
@@ -53,7 +55,7 @@ def cmd_identify(args) -> int:
             "conductor": k.conductor, "field_discriminant": k.discriminant,
             "tame": True,
         }, indent=2)[:-2]
-        residues = ",\n    ".join(map(str, sorted(k.subgroup)))
+        residues = ",\n    ".join(map(str, sub))
         print(f'{head},\n  "subgroup": [\n    {residues}\n  ]\n}}')
         return EXIT_OK
     print(f"polynomial:          {f}")
@@ -64,7 +66,7 @@ def cmd_identify(args) -> int:
     print(f"conductor:           {k.conductor}")
     print(f"field discriminant:  {k.discriminant}")
     print("tame:                true")
-    print(f"splitting subgroup:  {sorted(k.subgroup)} (mod {k.conductor})")
+    print(f"splitting subgroup:  {list(sub)} (mod {k.conductor})")
     return EXIT_OK
 
 
@@ -115,7 +117,9 @@ def cmd_count(args) -> int:
 
 def cmd_zeta_coeffs(args) -> int:
     d = ideal_count_oracle if args.oracle else ideal_count
-    triples = [(n, d(n), series_coeff(n)) for n in range(1, args.max + 1)]
+    # the third entry is series_coeff(n), taken from d_n: 0 at 3 | n
+    triples = [(n, dn, dn if n % 3 else 0)
+               for n, dn in ((n, d(n)) for n in range(1, args.max + 1))]
     if args.format == "csv":
         print("N,d_N,series_coeff")
         for n, dn, sn in triples:
@@ -178,6 +182,7 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@functools.cache  # one parser for every in-process main call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cubictrace",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .arith import InconsistencyError, factorize
 from .eisenstein import _cornacchia, _valuation_at
@@ -22,26 +23,42 @@ from .poly import TraceOnePoly, discriminant, is_cyclic
 
 def _primitive_root(p: int) -> int:
     """Least primitive root mod the prime p, found by factoring p - 1; only
-    the subgroup rendering (_cube_cosets) needs one."""
+    the subgroup rendering (_cube_labels) needs one."""
     qs = [q for q, _ in factorize(p - 1)]
     return next(g for g in range(2, p)
                 if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
 
 
-def _cube_cosets(p: int) -> tuple[list[int], list[int], list[int]]:
-    """The residues x mod p with (x/pi)_3 = w^k for k = 0, 1, 2, that is
-    x^((p-1)/3) = w^k mod pi, where pi = x_pi + y_pi w = _cornacchia(p) and
-    so w = -x_pi / y_pi mod p: the cubes C = <g^3>, gC and g^2 C for the
-    generator g with g^((p-1)/3) = w."""
+# A residue's label is k where chi(x) = w^k, or _NON_UNIT when x is not a
+# unit.  A label plus e <= 2 times another is at most 24 < 256, so byte
+# strings of labels add as integers without a carry; a sum below _NON_UNIT
+# comes from two units.
+_NON_UNIT = 8
+_LABEL_OF_SUM = bytes(s % 3 if s < _NON_UNIT else _NON_UNIT for s in range(256))
+_IS_KERNEL = bytes([1]) + bytes(255)
+# The most residues FieldClass.subgroup lists; at 10^6 identify prints
+# about 13 MB of JSON
+SUBGROUP_MAX = 10**6
+
+
+def _cube_labels(p: int) -> bytes:
+    """Byte x holds k where (x/pi)_3 = w^k, that is x^((p-1)/3) = w^k mod
+    pi, for pi = x_pi + y_pi w = _cornacchia(p), so w = -x_pi / y_pi mod p;
+    byte 0 holds _NON_UNIT.  With the generator g of g^((p-1)/3) = w, g^i
+    has label i mod 3."""
     x, y = _cornacchia(p)
     g = _primitive_root(p)
     if pow(g, (p - 1) // 3, p) != -x * pow(y, -1, p) % p:
         g = pow(g, -1, p)  # (g^-1)^((p-1)/3) = w^-2 = w
-    h = g * g * g % p
-    cubes = [1]
-    for _ in range((p - 1) // 3 - 1):
-        cubes.append(cubes[-1] * h % p)
-    return cubes, [g * u % p for u in cubes], [g * g * u % p for u in cubes]
+    labels = bytearray(p)  # the cubes g^(3i) keep label 0
+    labels[0] = _NON_UNIT
+    u = g
+    for _ in range((p - 1) // 3):
+        labels[u] = 1
+        u = u * g % p
+        labels[u] = 2
+        u = u * g % p * g % p
+    return bytes(labels)
 
 
 @dataclass(frozen=True)
@@ -70,26 +87,34 @@ class FieldClass:
         return self.conductor**2
 
     @property
-    def subgroup(self) -> frozenset[int]:
-        """The index-3 splitting subgroup ker chi of (Z/c)*, built by CRT
-        from the cube cosets mod each p_i.  Not cached: it has phi(c)/3
-        elements, and the key (conductor, character) does not need it."""
+    def subgroup(self) -> tuple[int, ...]:
+        """The index-3 splitting subgroup ker chi of (Z/c)*, ascending.  Not
+        cached: it has phi(c)/3 elements, and the key (conductor, character)
+        does not need it; past SUBGROUP_MAX of them it raises RuntimeError.
+
+        Labels mod m and mod p, repeated p and m times, sit side by side
+        over [0, m p): position x reads the labels of x mod m and x mod p,
+        which is the CRT bijection, so adding the byte strings labels each
+        x mod m p by chi_m(x) chi_p(x)^e."""
         ps = factorize(self.conductor)
         if (len(ps) != len(self.character)
                 or any(e != 1 or p % 3 != 1 for p, e in ps)):
             raise ValueError(f"character {self.character} needs "
                              f"{len(self.character)} distinct primes = 1 "
                              f"(mod 3) as conductor, not {self.conductor}")
-        by_sum, m = [[0], [], []], 1  # residues mod m by sum e_i k_i mod 3
+        size = math.prod(p - 1 for p, _ in ps) // 3
+        if size > SUBGROUP_MAX:
+            raise RuntimeError(f"the splitting subgroup mod {self.conductor} "
+                               f"(character {self.character}) has {size} "
+                               f"residues; at most {SUBGROUP_MAX} are listed")
+        labels = bytes(1)  # mod m = 1
         for (p, _), e in zip(ps, self.character):
-            cosets = _cube_cosets(p)
-            u, v = p * pow(p, -1, m), m * pow(m, -1, p)
-            m *= p
-            sums = range(3) if m < self.conductor else (0,)
-            by_sum = [[(x * u + y * v) % m for s in range(3)
-                       for x in by_sum[s] for y in cosets[(t - s) * e % 3]]
-                      for t in sums]
-        return frozenset(by_sum[0])
+            m = len(labels)
+            total = (int.from_bytes(labels * p, "little")
+                     + e * int.from_bytes(_cube_labels(p) * m, "little"))
+            labels = total.to_bytes(m * p, "little").translate(_LABEL_OF_SUM)
+        return tuple(compress(range(self.conductor),
+                              labels.translate(_IS_KERNEL)))
 
     def __str__(self) -> str:
         return f"K_{self.discriminant}"

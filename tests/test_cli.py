@@ -10,8 +10,9 @@ import pytest
 
 from cubictrace import cli
 from cubictrace.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_USAGE, main
+from cubictrace.eisenstein import ideal_count
 from cubictrace.enumeration import enumerate_field
-from cubictrace.fields import field_invariants
+from cubictrace.fields import SUBGROUP_MAX, field_invariants
 from cubictrace.padic import InconsistencyError
 from cubictrace.poly import parse_poly
 
@@ -190,6 +191,17 @@ class TestZetaCoeffs:
         assert [r["series_coeff"] for r in rows] == \
             ["1", "0", "0", "1", "0", "0", "2", "0", "0", "0"]
 
+    def test_one_ideal_count_per_row(self, capsys, monkeypatch):
+        # series_coeff(n) is read off the row's own d_n
+        calls = []
+        monkeypatch.setattr(cli, "ideal_count",
+                            lambda n: calls.append(n) or ideal_count(n))
+        code, out, _ = run(capsys, "zeta-coeffs", "--max", "30", "--format", "csv")
+        assert code == 0 and calls == list(range(1, 31))
+        assert out.splitlines()[1:10] == [
+            "1,1,1", "2,0,0", "3,1,0", "4,1,1", "5,0,0", "6,0,0", "7,2,2",
+            "8,0,0", "9,1,0"]
+
     def test_oracle_agrees(self, capsys):
         _, plain, _ = run(capsys, "zeta-coeffs", "--max", "60", "--format", "csv")
         _, oracle, _ = run(capsys, "zeta-coeffs", "--max", "60", "--format",
@@ -281,6 +293,20 @@ class TestExitPaths:
         assert proc.stdout == b""
         assert proc.stderr == b"error: broken invariant\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_subgroup_past_its_bound_exits_4(self, fmt):
+        # phi(75000001)/3 = 24626844 residues, which ran out of memory before
+        # the bound, are refused before any output; the identify workload
+        # lists up to 33333
+        assert 33333 < SUBGROUP_MAX < 24626844 // 10
+        proc = spawn("identify", "--poly", "-100000001,-383055560663",
+                     "--format", fmt)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_INTERNAL == 4 and out == b""
+        assert err.startswith(b"error: the splitting subgroup mod 75000001 "
+                              b"(character (1, 2)) has 24626844 residues")
+        assert err.count(b"\n") == 1
+
     def test_large_semiprime_b_exits_3(self):
         # |b| is a 30-digit semiprime, which takes seconds to factor; the
         # irreducibility and square tests must not need its factors
@@ -298,3 +324,30 @@ class TestExitPaths:
         monkeypatch.setattr(cli, "is_isomorphic", broken)
         code, out, err = run(capsys, "isomorphic", "-2,1", "-4,-1")
         assert (code, out, err) == (EXIT_INTERNAL, "", "error: broken invariant\n")
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ("identify", "--poly", "{},{}".format(*IDENTIFY_INPUT[:2]),
+         "--format", "json"),
+        ("identify", "--poly", "-30,64"),
+        ("enumerate", "--field", K49_POLY),  # usage error: no --max-norm
+        ("identify", "--poly", "x^2 + 1"),  # invalid polynomial
+        ("zeta-coeffs", "--max", "30", "--format", "csv"),
+    ]
+
+    def test_in_process_sequence_matches_fresh_interpreters(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        in_process = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse exits on a usage error
+                code = exc.code
+            out = capsys.readouterr()
+            in_process.append((code, out.out, out.err))
+        assert [code for code, _, _ in in_process] == [0, 0, EXIT_USAGE, 3, 0]
+        for argv, got in zip(self.SEQUENCE, in_process):
+            proc = spawn(*argv)
+            out, err = proc.communicate(timeout=60)
+            assert got == (proc.returncode, out.decode(), err.decode()), argv

@@ -11,11 +11,11 @@ from cubictrace.arith import is_prime
 from cubictrace.enumeration import (_square_disc_bs, classified_polys_for_a,
                                     enumerate_all, polys_for_a)
 from cubictrace import fields
-from cubictrace.fields import (FieldClass, _cube_cosets, conductor_of,
+from cubictrace.fields import (FieldClass, _cube_labels, conductor_of,
                                field_invariants, is_isomorphic)
 from cubictrace.padic import InconsistencyError, valuation
 from cubictrace.poly import TraceOnePoly, discriminant, is_irreducible
-from oracles import (conductor_padic, cubic_character, euler_phi,
+from oracles import (_index, conductor_padic, cubic_character, euler_phi,
                      field_class_oracle, omega_mod_pi, split_prime_closure)
 
 _SPLIT_PRIMES = [p for p in range(7, 200) if p % 3 == 1 and is_prime(p)]
@@ -78,12 +78,12 @@ class TestSplittingSubgroup:
     def test_k49(self):
         f = TraceOnePoly(-2, 1)
         assert field_invariants(f).character == cubic_character(f) == (1,)
-        assert field_invariants(f).subgroup == {1, 6}
+        assert field_invariants(f).subgroup == (1, 6)
 
     def test_k169(self):
         f = TraceOnePoly(-4, -1)
         assert field_invariants(f).character == cubic_character(f) == (1,)
-        assert field_invariants(f).subgroup == {1, 5, 8, 12}
+        assert field_invariants(f).subgroup == (1, 5, 8, 12)
 
     def test_stable_under_defining_poly(self):
         def character(a, b):
@@ -128,7 +128,7 @@ class TestSplittingSubgroup:
         subgroups = {}
         for k, polys in census.items():
             sub = k.subgroup
-            assert sub == split_prime_closure(polys[0], k.conductor)
+            assert set(sub) == split_prime_closure(polys[0], k.conductor)
             assert len(sub) * 3 == euler_phi(k.conductor)
             assert (-1) % k.conductor in sub
             subgroups[k] = sub
@@ -195,7 +195,7 @@ class TestFieldClass:
         assert k.conductor == 7
         assert k.discriminant == 49
         assert str(k) == "K_49"
-        assert k.subgroup == frozenset({1, 6})
+        assert k.subgroup == (1, 6)
 
     def test_contains_minus_one(self):
         for f in (TraceOnePoly(-2, 1), TraceOnePoly(-4, -1),
@@ -232,13 +232,45 @@ class TestFieldClass:
         with pytest.raises(ValueError, match="distinct primes = 1"):
             k.subgroup
 
-    def test_cube_cosets_by_primary_prime(self):
-        # coset k holds the x with (x/pi)_3 = w^k, pi = _cornacchia(p)
+    def test_cube_labels_by_primary_prime(self):
+        # byte x holds the k with (x/pi)_3 = w^k, pi = _cornacchia(p)
         for p in filter(is_prime, range(7, 2000, 3)):
             w, e = omega_mod_pi(p), (p - 1) // 3
-            by_symbol = [{x for x in range(1, p) if pow(x, e, p) == pow(w, k, p)}
-                         for k in range(3)]
-            assert [set(c) for c in _cube_cosets(p)] == by_symbol, p
+            labels = _cube_labels(p)
+            assert len(labels) == p and labels[0] not in (0, 1, 2), p
+            assert all(pow(x, e, p) == pow(w, labels[x], p)
+                       for x in range(1, p)), p
+
+    def test_subgroup_is_kernel_by_euler_criterion(self):
+        # every admissible (c, chi) with c <= 3000: c squarefree, its primes
+        # = 1 (mod 3), chi normalized; ker chi by (x/pi)_3 = x^((p-1)/3)
+        ps = [p for p in range(7, 3000, 3) if is_prime(p)]
+        index = {p: [_index(x, p, omega_mod_pi(p)) for x in range(p)]
+                 for p in ps}
+        checked = set()
+        for r in (1, 2, 3):
+            for qs in itertools.combinations(ps, r):
+                c = math.prod(qs)
+                if c > 3000:
+                    continue
+                for es in itertools.product((1, 2), repeat=r - 1):
+                    es = (1, *es)
+                    # the kernel in range order: strictly ascending
+                    assert FieldClass(c, es).subgroup == tuple(
+                        x for x in range(c) if math.gcd(x, c) == 1
+                        and sum(e * index[p][x % p]
+                                for p, e in zip(qs, es)) % 3 == 0), (c, es)
+                    checked.add((c, es))
+        assert {(7 * 13 * 19, es) for es in itertools.product(
+            (1,), (1, 2), (1, 2))} <= checked
+        assert len(checked) == 389
+
+    def test_subgroup_refused_past_its_bound(self, monkeypatch):
+        # phi(7)/3 = 2 residues fit, phi(13)/3 = 4 do not
+        monkeypatch.setattr(fields, "SUBGROUP_MAX", 2)
+        assert FieldClass(7, (1,)).subgroup == (1, 6)
+        with pytest.raises(RuntimeError, match=r"\(1,\)\) has 4 residues; at most 2"):
+            FieldClass(13, (1,)).subgroup
 
     def test_key_builds_no_primitive_root(self, monkeypatch):
         def refuse(p):
