@@ -1,6 +1,12 @@
 """Exact integer arithmetic: factorization, divisor machinery and the
 character mod 3.
 
+`factorize` trial-divides by the primes below TRIAL_DIVISION_BOUND = 2^10,
+then splits what is left by Miller-Rabin and Pollard rho.  It refuses any
+n >= FACTOR_LIMIT (about 3.3 * 10^24) with a SizeLimitError: below that
+bound the Miller-Rabin witnesses prove primality, so a factorization is
+exact; above it one could silently be wrong.
+
 Everything here is pure Python integer arithmetic (arbitrary precision),
 deterministic, and safe to call concurrently.
 """
@@ -9,22 +15,44 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 
-TRIAL_DIVISION_BOUND = 10**6
+TRIAL_DIVISION_BOUND = 1 << 10
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes are a deterministic Miller-Rabin witness set below
+# FACTOR_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017); the first 12 fail already at
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+FACTOR_LIMIT = 3317044064679887385961981
 
 
 class InconsistencyError(RuntimeError):
     """Internal contradiction: the input violates an assumed invariant."""
 
 
+class SizeLimitError(ArithmeticError):
+    """The input is past a documented size limit of an exact algorithm."""
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes over a bytearray."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = bytes(2)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
+
+
+_SMALL_PRIMES = _primes_below(TRIAL_DIVISION_BOUND)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test (exact for n < FACTOR_LIMIT)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -91,29 +119,36 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
 
 @lru_cache(maxsize=65536)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Factor a positive integer into its (prime, exponent) pairs, primes
-    ascending (none for 1): trial division to 10^6, then Pollard rho."""
+    """Factor 1 <= n < FACTOR_LIMIT into its (prime, exponent) pairs, primes
+    ascending (none for 1): trial division by the primes below
+    TRIAL_DIVISION_BOUND until p^2 > the cofactor, then Miller-Rabin and
+    Pollard rho on a cofactor with no prime factor below the bound."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    acc: dict[int, int] = {}
+    if n >= FACTOR_LIMIT:
+        raise SizeLimitError(f"cannot factor {n}: factorization is exact only "
+                             f"below {FACTOR_LIMIT} (about 3.3e24), where "
+                             "its primality test is proven")
+    out = []
     m = n
-    for p in (2, 3):
-        while m % p == 0:
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
+        if m % p == 0:
             m //= p
-            acc[p] = acc.get(p, 0) + 1
-    d = 5
-    while d <= TRIAL_DIVISION_BOUND and d * d <= m:
-        for step in (d, d + 2):
-            while m % step == 0:
-                m //= step
-                acc[step] = acc.get(step, 0) + 1
-        d += 6
-    if m > 1:
-        if d * d > m:
-            acc[m] = acc.get(m, 0) + 1
-        else:
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+    else:  # every small prime tried: m's prime factors are all past them
+        if m >= TRIAL_DIVISION_BOUND**2:
+            acc: dict[int, int] = {}
             _factor_into(m, acc)
-    return tuple(sorted(acc.items()))
+            return (*out, *sorted(acc.items()))
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
 
 
 def chi3(n: int) -> int:
@@ -122,11 +157,15 @@ def chi3(n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted ascending."""
+    """All positive divisors of n, sorted ascending: for each p^e, e blocks,
+    each p times the block before it."""
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
     divs = [1]
     for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
+        block = divs
+        for _ in range(e):
+            block = [d * p for d in block]
+            divs += block
+    divs.sort()
+    return divs

@@ -40,6 +40,19 @@ def _field_of(text: str) -> FieldClass:
     return field_invariants(_cyclic_poly(text))
 
 
+_SLICE = 4096  # items per write in _write_joined
+
+
+def _write_joined(items, sep: str) -> None:
+    """Write sep.join(map(str, items)) to stdout a slice of items at a time,
+    so memory stays bounded by the slice, not by the output."""
+    write = sys.stdout.write
+    for i in range(0, len(items), _SLICE):
+        if i:
+            write(sep)
+        write(sep.join(map(str, items[i:i + _SLICE])))
+
+
 def cmd_identify(args) -> int:
     f = _cyclic_poly(args.poly)
     k = field_invariants(f)
@@ -47,7 +60,7 @@ def cmd_identify(args) -> int:
     disc = discriminant(f)
     index_sq = disc // k.discriminant
     if args.format == "json":
-        # json.dumps(indent=2)'s layout, but the phi(c)/3 residues by one join
+        # json.dumps(indent=2)'s layout, with the phi(c)/3 residues in slices
         head = json.dumps({
             "polynomial": str(f), "a": f.a, "b": f.b,
             "irreducible": True, "cyclic": True,
@@ -55,8 +68,9 @@ def cmd_identify(args) -> int:
             "conductor": k.conductor, "field_discriminant": k.discriminant,
             "tame": True,
         }, indent=2)[:-2]
-        residues = ",\n    ".join(map(str, sub))
-        print(f'{head},\n  "subgroup": [\n    {residues}\n  ]\n}}')
+        sys.stdout.write(f'{head},\n  "subgroup": [\n    ')
+        _write_joined(sub, ",\n    ")
+        sys.stdout.write("\n  ]\n}\n")
         return EXIT_OK
     print(f"polynomial:          {f}")
     print("irreducible:         true")
@@ -66,7 +80,9 @@ def cmd_identify(args) -> int:
     print(f"conductor:           {k.conductor}")
     print(f"field discriminant:  {k.discriminant}")
     print("tame:                true")
-    print(f"splitting subgroup:  {list(sub)} (mod {k.conductor})")
+    sys.stdout.write("splitting subgroup:  [")  # list(sub)'s repr
+    _write_joined(sub, ", ")
+    print(f"] (mod {k.conductor})")
     return EXIT_OK
 
 

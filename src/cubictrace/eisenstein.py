@@ -91,7 +91,7 @@ def ideal_count_oracle(n: int) -> int:
     """Same quantity by the independent divisor sum: d_n = sum_{d|n} chi3(d)."""
     if n < 1:
         raise ValueError(f"norm must be positive, got {n}")
-    return sum(chi3(d) for d in divisors(n))
+    return sum(map(chi3, divisors(n)))
 
 
 def series_coeff(n: int) -> int:

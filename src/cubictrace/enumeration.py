@@ -17,7 +17,7 @@ from math import isqrt
 
 from .arith import InconsistencyError, factorize
 from .eisenstein import _conj, _cornacchia, _mul, series_coeff
-from .fields import FieldClass, _field_class
+from .fields import FieldClass, _field_class, check_key
 from .poly import TraceOnePoly
 
 
@@ -154,12 +154,14 @@ def enumerate_field(k: FieldClass, n_max: int) -> list[EnumerationRow]:
     """Rows for N = 1 .. n_max; non-admissible N yield empty rows."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    check_key(k)
     return [_row(k, n) for n in range(1, n_max + 1)]
 
 
 def min_height(k: FieldClass) -> int:
     """Smallest H^2 = c*N with a member of F_K; equals the conductor, so
     only the row N = 1 is checked."""
+    check_key(k)
     if not _row(k, 1).count:
         raise InconsistencyError(
             f"no member of the conductor-{k.conductor} class at H^2 = "

@@ -96,19 +96,14 @@ class FieldClass:
         over [0, m p): position x reads the labels of x mod m and x mod p,
         which is the CRT bijection, so adding the byte strings labels each
         x mod m p by chi_m(x) chi_p(x)^e."""
-        ps = factorize(self.conductor)
-        if (len(ps) != len(self.character)
-                or any(e != 1 or p % 3 != 1 for p, e in ps)):
-            raise ValueError(f"character {self.character} needs "
-                             f"{len(self.character)} distinct primes = 1 "
-                             f"(mod 3) as conductor, not {self.conductor}")
-        size = math.prod(p - 1 for p, _ in ps) // 3
+        ps = check_key(self)
+        size = math.prod(p - 1 for p in ps) // 3
         if size > SUBGROUP_MAX:
             raise RuntimeError(f"the splitting subgroup mod {self.conductor} "
                                f"(character {self.character}) has {size} "
                                f"residues; at most {SUBGROUP_MAX} are listed")
         labels = bytes(1)  # mod m = 1
-        for (p, _), e in zip(ps, self.character):
+        for p, e in zip(ps, self.character):
             m = len(labels)
             total = (int.from_bytes(labels * p, "little")
                      + e * int.from_bytes(_cube_labels(p) * m, "little"))
@@ -118,6 +113,20 @@ class FieldClass:
 
     def __str__(self) -> str:
         return f"K_{self.discriminant}"
+
+
+def check_key(k: FieldClass) -> tuple[int, ...]:
+    """The primes of k's conductor, ascending.  Raises ValueError unless the
+    conductor is a product of len(k.character) distinct primes = 1 (mod 3):
+    keys from _field_class always are, but FieldClass does not factor c when
+    it is built, so the entry points that take a key check it once."""
+    ps = factorize(k.conductor)
+    if (len(ps) != len(k.character)
+            or any(e != 1 or p % 3 != 1 for p, e in ps)):
+        raise ValueError(f"character {k.character} needs {len(k.character)} "
+                         "distinct primes = 1 (mod 3) as conductor, not "
+                         f"{k.conductor}")
+    return tuple(p for p, _ in ps)
 
 
 def _field_class(exponents) -> FieldClass | None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .eisenstein import formula3_count, ideal_count, mod2_part_is_square
 from .enumeration import classified_polys_for_a, enumerate_field
-from .fields import FieldClass, field_invariants
+from .fields import FieldClass, check_key, field_invariants
 from .poly import TraceOnePoly, discriminant, height_sq, is_cyclic
 
 # Transcribed table data.  Figure-1 rows are (N, (b values, descending)) for
@@ -105,6 +105,7 @@ def verify_theorem(k: FieldClass, n_max: int) -> VerificationReport:
 
 def verify_corollary(k: FieldClass, a_min: int) -> VerificationReport:
     """Per-a counting: count = d_{(1-3a)/c} when c | 1-3a, else 0."""
+    check_key(k)
     report = VerificationReport(f"corollary[{k}, a>={a_min}]")
     c = k.conductor
     for a in range(a_min, 1):

@@ -29,6 +29,23 @@ def primes():
         n += 2
 
 
+def factorize_trial(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n >= 1 by trial division by 2 and every odd
+    d up to the square root of the cofactor; no table and no primality test."""
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n):

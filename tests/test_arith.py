@@ -3,8 +3,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cubictrace.arith import chi3, divisors, factorize, is_prime
-from oracles import euler_phi, primes, subgroup_closure
+from cubictrace import arith
+from cubictrace.arith import (FACTOR_LIMIT, TRIAL_DIVISION_BOUND,
+                              SizeLimitError, chi3, divisors, factorize,
+                              is_prime)
+from oracles import euler_phi, factorize_trial, primes, subgroup_closure
+
+# primes on both sides of the trial-division bound 1024
+_STRADDLING = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
 
 
 class TestIsPrime:
@@ -18,6 +24,10 @@ class TestIsPrime:
     def test_large_primes(self):
         assert is_prime(2**61 - 1)
         assert not is_prime((2**61 - 1) * (2**31 - 1))
+
+    def test_strong_pseudoprime_to_the_first_twelve_primes(self):
+        # 41 is a witness: the bases 2 .. 37 alone call this product prime
+        assert not is_prime(399165290221 * 798330580441)
 
     @given(st.integers(min_value=2, max_value=10**5))
     def test_matches_trial_division(self, n):
@@ -41,6 +51,51 @@ class TestFactorize:
         p, q = 1_000_003, 1_000_033
         assert factorize(p * q) == ((p, 1), (q, 1))
 
+    def test_matches_trial_division_below_2e5(self):
+        for n in range(1, 200_001):
+            assert factorize(n) == factorize_trial(n), n
+
+    def test_primes_straddling_the_bound(self):
+        assert TRIAL_DIVISION_BOUND == 1024
+        cases = [p**k for p in _STRADDLING for k in range(1, 6)]
+        cases += [p * q * r for p in _STRADDLING for q in _STRADDLING
+                  for r in (1, 2, 3, 1021, 1031)]
+        for n in cases:
+            assert factorize(n) == factorize_trial(n), n
+
+    def test_semiprime_with_12_digit_factors(self):
+        p, q = 100_000_000_003, 999_999_999_989
+        assert is_prime(p) and is_prime(q)
+        assert factorize(p * q) == ((p, 1), (q, 1))
+        assert factorize(6 * p * q) == ((2, 1), (3, 1), (p, 1), (q, 1))
+
+    def test_no_rho_below_the_square_of_the_bound(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"Pollard rho called on {n}")
+
+        monkeypatch.setattr(arith, "_pollard_rho", refuse)
+        square = TRIAL_DIVISION_BOUND**2
+        cases = [*range(square - 3000, square), 1019 * 1021, 1021**2]
+        for n in cases:
+            assert factorize.__wrapped__(n) == factorize_trial(n), n
+
+    def test_size_limit(self):
+        # the least strong pseudoprime to the bases 2 .. 41, which is_prime
+        # calls prime: the first integer factorize cannot prove
+        assert is_prime(FACTOR_LIMIT)
+        assert FACTOR_LIMIT == 1287836182261 * 2575672364521
+        assert factorize(FACTOR_LIMIT - 1)[0] == (2, 2)
+        for n in (FACTOR_LIMIT, 2**100):
+            with pytest.raises(SizeLimitError, match="cannot factor"):
+                factorize(n)
+        assert issubclass(SizeLimitError, ArithmeticError)
+
+    def test_small_prime_table(self):
+        gen = primes()
+        table = [next(gen) for _ in range(len(arith._SMALL_PRIMES))]
+        assert arith._SMALL_PRIMES == tuple(table)
+        assert table[-1] < TRIAL_DIVISION_BOUND < next(gen)
+
 
 class TestDivisors:
     @given(st.integers(min_value=1, max_value=10**4))
@@ -49,6 +104,10 @@ class TestDivisors:
         assert len(divs) == math.prod(k + 1 for _, k in factorize(n))
         assert all(n % d == 0 for d in divs)
         assert divs == sorted(set(divs))
+
+    def test_ascending_and_complete_below_3000(self):
+        for n in range(1, 3001):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
     def test_examples(self):
         assert divisors(1) == [1]

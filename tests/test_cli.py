@@ -9,6 +9,7 @@ import inputs
 import pytest
 
 from cubictrace import cli
+from cubictrace.arith import FACTOR_LIMIT
 from cubictrace.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_USAGE, main
 from cubictrace.eisenstein import ideal_count
 from cubictrace.enumeration import enumerate_field
@@ -19,6 +20,8 @@ from cubictrace.poly import parse_poly
 IDENTIFY_INPUT = inputs.identify_inputs(0)[0]  # (a, b, conductor)
 K49_POLY = "t^3 - t^2 - 2t + 1"
 K169_POLY = "t^3 - t^2 - 4t - 1"
+# conductor 30013: identify writes its 10004 residues in three slices
+SLICED_POLY = "-10004,264559"
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
@@ -66,6 +69,7 @@ class TestIdentify:
     @pytest.mark.parametrize("poly, conductor", [
         ("-2,1", 7), ("-30,-27", 91), ("-30,64", 91),
         ("{},{}".format(*IDENTIFY_INPUT[:2]), IDENTIFY_INPUT[2]),
+        (SLICED_POLY, 30013),
     ])
     def test_json_layout_is_json_dumps(self, capsys, poly, conductor):
         # the subgroup is joined by hand; the bytes must be json.dumps's
@@ -74,6 +78,12 @@ class TestIdentify:
         assert code == 0 and data["conductor"] == conductor
         assert data["subgroup"] == sorted(field_invariants(parse_poly(poly)).subgroup)
         assert out == json.dumps(data, indent=2) + "\n"
+
+    def test_text_subgroup_is_list_repr(self, capsys):
+        code, out, _ = run(capsys, "identify", "--poly", SLICED_POLY)
+        sub = field_invariants(parse_poly(SLICED_POLY)).subgroup
+        assert code == 0 and len(sub) == 10004
+        assert out.endswith(f"splitting subgroup:  {list(sub)} (mod 30013)\n")
 
     def test_reducible_exits_3(self, capsys):
         code, _, err = run(capsys, "identify", "--poly", "t^3 - t^2")
@@ -305,6 +315,29 @@ class TestExitPaths:
         assert proc.returncode == EXIT_INTERNAL == 4 and out == b""
         assert err.startswith(b"error: the splitting subgroup mod 75000001 "
                               b"(character (1, 2)) has 24626844 residues")
+        assert err.count(b"\n") == 1
+
+    # t^3 alpha for the alpha of -2,1 and t = 10^8 = 1 (mod 9): a cubic of
+    # K_49 with gcd(q, s) = 7 t^3, past the limit
+    PAST_LIMIT = "-23333333333333333,259259267037037037037037"
+    # conductor 1255745438954661697032379 is below the limit, 4 times it not
+    BIG_FIELD = "-418581812984887232344126,-92978126936719999982733389613258424"
+
+    @pytest.mark.parametrize("argv, n", [
+        (("identify", "--poly", PAST_LIMIT), 7 * 10**24),
+        (("isomorphic", PAST_LIMIT, "-2,1"), 7 * 10**24),
+        (("count", "--field", "-2,1", "-a", str(-10**25)), 3 * 10**25 + 1),
+        (("enumerate", "--field", BIG_FIELD, "--max-norm", "4"),
+         4 * 1255745438954661697032379),
+        (("verify", "--field", BIG_FIELD, "--max-norm", "4"),
+         4 * 1255745438954661697032379),
+    ], ids=["identify", "isomorphic", "count", "enumerate", "verify"])
+    def test_factorization_past_its_limit_exits_4(self, argv, n):
+        assert n >= FACTOR_LIMIT
+        proc = spawn(*argv)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_INTERNAL == 4 and out == b""
+        assert err.startswith(f"error: cannot factor {n}: ".encode())
         assert err.count(b"\n") == 1
 
     def test_large_semiprime_b_exits_3(self):

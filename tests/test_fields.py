@@ -9,17 +9,26 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cubictrace.arith import is_prime
 from cubictrace.enumeration import (_square_disc_bs, classified_polys_for_a,
-                                    enumerate_all, polys_for_a)
+                                    enumerate_all, enumerate_field, min_height,
+                                    polys_for_a)
 from cubictrace import fields
-from cubictrace.fields import (FieldClass, _cube_labels, conductor_of,
-                               field_invariants, is_isomorphic)
+from cubictrace.fields import (FieldClass, _cube_labels, check_key,
+                               conductor_of, field_invariants, is_isomorphic)
 from cubictrace.padic import InconsistencyError, valuation
 from cubictrace.poly import TraceOnePoly, discriminant, is_irreducible
+from cubictrace.verify import verify_corollary
 from oracles import (_index, conductor_padic, cubic_character, euler_phi,
                      field_class_oracle, omega_mod_pi, split_prime_closure)
 
 _SPLIT_PRIMES = [p for p in range(7, 200) if p % 3 == 1 and is_prime(p)]
 _INERT_PRIMES = [p for p in range(2, 50) if p % 3 == 2 and is_prime(p)]
+# keys whose character does not fit the conductor
+_UNLIKE_KEYS = [
+    (49, (1,)),   # a prime square
+    (91, (1,)),   # two primes, one exponent
+    (7, (1, 2)),  # one prime, two exponents
+    (14, (1,)),   # 2 is inert: no primary prime of norm 2
+]
 
 
 class TestConductor:
@@ -220,17 +229,23 @@ class TestFieldClass:
         with pytest.raises(ValueError):
             FieldClass(7, character)
 
-    @pytest.mark.parametrize("conductor, character", [
-        (49, (1,)),   # a prime square
-        (91, (1,)),   # two primes, one exponent
-        (7, (1, 2)),  # one prime, two exponents
-        (14, (1,)),   # 2 is inert: no primary prime of norm 2
-    ])
+    @pytest.mark.parametrize("conductor, character", _UNLIKE_KEYS)
     def test_subgroup_rejects_character_unlike_conductor(self, conductor,
                                                          character):
         k = FieldClass(conductor, character)  # the hot key does not factor c
         with pytest.raises(ValueError, match="distinct primes = 1"):
             k.subgroup
+
+    @pytest.mark.parametrize("conductor, character", _UNLIKE_KEYS)
+    def test_entry_points_reject_character_unlike_conductor(self, conductor,
+                                                            character):
+        # before the check, FieldClass(7, (1, 2)) silently matched no cubic
+        k = FieldClass(conductor, character)
+        for entry, arg in ((enumerate_field, 10), (min_height, None),
+                           (verify_corollary, -10)):
+            with pytest.raises(ValueError, match="distinct primes = 1"):
+                entry(k) if arg is None else entry(k, arg)
+        assert check_key(FieldClass(91, (1, 2))) == (7, 13)
 
     def test_cube_labels_by_primary_prime(self):
         # byte x holds the k with (x/pi)_3 = w^k, pi = _cornacchia(p)
