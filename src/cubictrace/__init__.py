@@ -6,7 +6,7 @@ from .arith import InconsistencyError, chi3, divisors, factorize, is_prime
 from .eisenstein import (formula3_count, ideal_count, ideal_count_oracle,
                          p1_part, series_coeff)
 from .enumeration import (EnumerationRow, b_range, enumerate_all,
-                          enumerate_field, min_height, polys_for_a)
+                          enumerate_field, min_height)
 from .fields import FieldClass, conductor_of, field_invariants, is_isomorphic
 from .padic import (SplittingType, dedekind_index_test, lift_root_unramified,
                     lift_root_zp, roots_mod_p, splitting_type, valuation)
@@ -23,7 +23,7 @@ __all__ = [
     "formula3_count", "ideal_count", "ideal_count_oracle", "p1_part",
     "series_coeff",
     "EnumerationRow", "b_range", "enumerate_all", "enumerate_field",
-    "min_height", "polys_for_a",
+    "min_height",
     "FieldClass", "conductor_of", "field_invariants", "is_isomorphic",
     "SplittingType", "dedekind_index_test", "lift_root_unramified",
     "lift_root_zp", "roots_mod_p", "splitting_type", "valuation",

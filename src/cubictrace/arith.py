@@ -5,7 +5,8 @@ character mod 3.
 then splits what is left by Miller-Rabin and Pollard rho.  It refuses any
 n >= FACTOR_LIMIT (about 3.3 * 10^24) with a SizeLimitError: below that
 bound the Miller-Rabin witnesses prove primality, so a factorization is
-exact; above it one could silently be wrong.
+exact; above it one could silently be wrong.  Its LRU is small: its one
+reuse is ideal_count(n), then the oracle's divisors(n) at the same n.
 
 Everything here is pure Python integer arithmetic (arbitrary precision),
 deterministic, and safe to call concurrently.
@@ -117,7 +118,7 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
     _factor_into(n // d, acc)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=256)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factor 1 <= n < FACTOR_LIMIT into its (prime, exponent) pairs, primes
     ascending (none for 1): trial division by the primes below

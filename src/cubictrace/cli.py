@@ -15,8 +15,8 @@ from .enumeration import classified_polys_for_a, enumerate_field
 from .fields import FieldClass, field_invariants, is_isomorphic
 from .poly import (TraceOnePoly, discriminant, is_cyclic, is_irreducible,
                    parse_poly)
-from .verify import (norm_proportionality_check, reproduce_tables,
-                     verify_theorem)
+from .verify import (_theorem_report, norm_proportionality_check,
+                     reproduce_tables)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -28,9 +28,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout early
 
 def _cyclic_poly(text: str) -> TraceOnePoly:
     f = parse_poly(text)
-    if not is_irreducible(f):
-        raise ValueError(f"{f} is reducible")
-    if not is_cyclic(f):
+    if not is_cyclic(f):  # is_irreducible only words the refusal
+        if not is_irreducible(f):
+            raise ValueError(f"{f} is reducible")
         raise ValueError(f"{f} is irreducible but not cyclic "
                          f"(discriminant {discriminant(f)} is not a square)")
     return f
@@ -86,7 +86,7 @@ def cmd_identify(args) -> int:
     return EXIT_OK
 
 
-def _enumerate_csv_lines(k: FieldClass, rows) -> list[str]:
+def _enumerate_csv_lines(rows) -> list[str]:
     lines = ["N,height_sq,a,b,polynomial"]
     for row in rows:
         if row.polys:
@@ -103,7 +103,7 @@ def cmd_enumerate(args) -> int:
     if args.nonzero_only:
         rows = [r for r in rows if r.count]
     if args.format == "csv":
-        print("\n".join(_enumerate_csv_lines(k, rows)))
+        print("\n".join(_enumerate_csv_lines(rows)))
     elif args.format == "json":
         print(json.dumps([{
             "N": r.n, "height_sq": r.height_sq, "a": r.a,
@@ -152,12 +152,12 @@ def cmd_zeta_coeffs(args) -> int:
 
 def cmd_verify(args) -> int:
     k = _field_of(args.field)
-    report = verify_theorem(k, args.max_norm)
+    rows = enumerate_field(k, args.max_norm)
+    report = _theorem_report(k, rows)
     if args.check_norms:
-        for row in enumerate_field(k, args.max_norm):
+        for row in rows:
             for f in row.polys:
-                for c in norm_proportionality_check(f).checks:
-                    report.checks.append(c)
+                report.checks += norm_proportionality_check(f).checks
     print(json.dumps(report.to_json(), indent=2) if args.format == "json"
           else report.to_text())
     return EXIT_OK if report.overall else EXIT_FAIL
@@ -267,7 +267,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except (RuntimeError, ArithmeticError) as exc:
         # InconsistencyError is a RuntimeError; a failed rho factorization
-        # is an ArithmeticError.
+        # and SizeLimitError, an exhausted limit, are ArithmeticErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except BrokenPipeError:

@@ -12,7 +12,6 @@ irreducibility (conductor > 1) and the cubic character; see `fields`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 from .arith import InconsistencyError, factorize
@@ -108,18 +107,12 @@ def _square_disc_bs(a: int) -> list[int]:
     return sorted(b for b, _js in _square_disc_alphas(a))
 
 
-@lru_cache(maxsize=1 << 16)
 def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...]:
     """All cyclic trace-one cubics with this a, each with its field class,
     ascending in b.  The class comes from the valuations of alpha; an alpha
-    with conductor 1 is a reducible cubic and is dropped."""
+    with conductor 1 is a reducible cubic and is dropped.  Not memoized."""
     classes = ((b, _field_class(js)) for b, js in sorted(_square_disc_alphas(a)))
     return tuple((TraceOnePoly(a, b), k) for b, k in classes if k is not None)
-
-
-def polys_for_a(a: int) -> list[tuple[TraceOnePoly, int]]:
-    """All cyclic trace-one cubics with this a, paired with their conductor."""
-    return [(f, k.conductor) for f, k in classified_polys_for_a(a)]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 
-from .arith import InconsistencyError, factorize
+from .arith import InconsistencyError, SizeLimitError, factorize
 from .eisenstein import _cornacchia, _valuation_at
 from .poly import TraceOnePoly, discriminant, is_cyclic
 
@@ -90,7 +90,7 @@ class FieldClass:
     def subgroup(self) -> tuple[int, ...]:
         """The index-3 splitting subgroup ker chi of (Z/c)*, ascending.  Not
         cached: it has phi(c)/3 elements, and the key (conductor, character)
-        does not need it; past SUBGROUP_MAX of them it raises RuntimeError.
+        does not need it; past SUBGROUP_MAX of them it raises SizeLimitError.
 
         Labels mod m and mod p, repeated p and m times, sit side by side
         over [0, m p): position x reads the labels of x mod m and x mod p,
@@ -99,9 +99,9 @@ class FieldClass:
         ps = check_key(self)
         size = math.prod(p - 1 for p in ps) // 3
         if size > SUBGROUP_MAX:
-            raise RuntimeError(f"the splitting subgroup mod {self.conductor} "
-                               f"(character {self.character}) has {size} "
-                               f"residues; at most {SUBGROUP_MAX} are listed")
+            raise SizeLimitError(f"the splitting subgroup mod {self.conductor} "
+                                 f"(character {self.character}) has {size} "
+                                 f"residues; at most {SUBGROUP_MAX} are listed")
         labels = bytes(1)  # mod m = 1
         for p, e in zip(ps, self.character):
             m = len(labels)

@@ -95,12 +95,17 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_theorem(k: FieldClass, n_max: int) -> VerificationReport:
-    """Coefficientwise count identity: |F_K at N| = series coefficient."""
-    report = VerificationReport(f"theorem[{k}, N<={n_max}]")
-    for row in enumerate_field(k, n_max):
+def _theorem_report(k: FieldClass, rows) -> VerificationReport:
+    """The identity on rows = enumerate_field(k, n_max), one per N."""
+    report = VerificationReport(f"theorem[{k}, N<={len(rows)}]")
+    for row in rows:
         report.add(f"N={row.n}", row.predicted, row.count)
     return report
+
+
+def verify_theorem(k: FieldClass, n_max: int) -> VerificationReport:
+    """Coefficientwise count identity: |F_K at N| = series coefficient."""
+    return _theorem_report(k, enumerate_field(k, n_max))
 
 
 def verify_corollary(k: FieldClass, a_min: int) -> VerificationReport:

@@ -8,14 +8,14 @@ import sys
 import inputs
 import pytest
 
-from cubictrace import cli
+from cubictrace import cli, enumeration
 from cubictrace.arith import FACTOR_LIMIT
 from cubictrace.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_USAGE, main
 from cubictrace.eisenstein import ideal_count
 from cubictrace.enumeration import enumerate_field
 from cubictrace.fields import SUBGROUP_MAX, field_invariants
 from cubictrace.padic import InconsistencyError
-from cubictrace.poly import parse_poly
+from cubictrace.poly import is_irreducible, parse_poly
 
 IDENTIFY_INPUT = inputs.identify_inputs(0)[0]  # (a, b, conductor)
 K49_POLY = "t^3 - t^2 - 2t + 1"
@@ -89,6 +89,31 @@ class TestIdentify:
         code, _, err = run(capsys, "identify", "--poly", "t^3 - t^2")
         assert code == 3
         assert "reducible" in err
+
+    @pytest.mark.parametrize("poly, why", [
+        ("t^3 - t^2", "t^3 - t^2 + 0t + 0 is reducible"),
+        ("-4,4", "t^3 - t^2 - 4t + 4 is reducible"),  # discriminant 144
+        ("-3,5", "t^3 - t^2 - 3t + 5 is irreducible but not cyclic "
+                 "(discriminant -268 is not a square)"),
+    ], ids=["zero-disc", "square-disc", "not-cyclic"])
+    def test_refusal_wording(self, capsys, poly, why):
+        assert run(capsys, "identify", "--poly", poly) == (3, "", f"error: {why}\n")
+
+    def test_one_irreducibility_test_per_cyclic_check(self, capsys, monkeypatch):
+        # is_cyclic in _cyclic_poly and again in field_invariants, no more
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return is_irreducible(f)
+
+        monkeypatch.setattr("cubictrace.poly.is_irreducible", counted)
+        monkeypatch.setattr(cli, "is_irreducible", counted)
+        assert run(capsys, "identify", "--poly", "-2,1")[0] == 0
+        assert len(calls) == 2
+        calls.clear()
+        assert run(capsys, "isomorphic", "-2,1", "-37,29")[0] == 0
+        assert len(calls) == 4
 
     def test_unparsable_exits_3(self, capsys):
         code, _, err = run(capsys, "identify", "--poly", "x^2 + 1")
@@ -225,6 +250,17 @@ class TestVerify:
                            "--max-norm", "43")
         assert code == 0
         assert "PASS (43/43 checks)" in out
+
+    def test_check_norms_walks_each_a_once(self, capsys, monkeypatch):
+        # one census walk per admissible N, shared by both kinds of check
+        calls = []
+        walk = enumeration.classified_polys_for_a
+        monkeypatch.setattr(enumeration, "classified_polys_for_a",
+                            lambda a: calls.append(a) or walk(a))
+        code, out, _ = run(capsys, "verify", "--field", K49_POLY,
+                           "--max-norm", "43", "--check-norms")
+        assert code == 0 and "PASS (61/61 checks)" in out
+        assert calls == [(1 - 7 * n) // 3 for n in range(1, 44) if n % 3 == 1]
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--field", K169_POLY,

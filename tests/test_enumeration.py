@@ -5,7 +5,7 @@ from cubictrace.arith import is_prime
 from cubictrace.eisenstein import _cornacchia, ideal_count
 from cubictrace.enumeration import (_square_disc_bs, b_range,
                                     classified_polys_for_a, enumerate_all,
-                                    enumerate_field, min_height, polys_for_a)
+                                    enumerate_field, min_height)
 from cubictrace.fields import field_invariants
 from cubictrace.padic import InconsistencyError
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic
@@ -70,33 +70,29 @@ class TestSquareDiscBs:
             for k, count in classes.items():
                 assert count == ideal_count(h // k.conductor), (a, k)
 
-    def test_cache_is_bounded(self):
-        # large enough for a full census down to a = -2000 (2001 values of a)
-        maxsize = classified_polys_for_a.cache_info().maxsize
-        assert maxsize is not None and maxsize >= 2001
-
 
 class TestPolysForA:
     def test_examples(self):
-        assert polys_for_a(-2) == [(TraceOnePoly(-2, 1), 7)]
-        assert polys_for_a(-1) == []
-        assert polys_for_a(0) == []
+        assert [(f, k.conductor) for f, k in classified_polys_for_a(-2)] == \
+            [(TraceOnePoly(-2, 1), 7)]
+        assert classified_polys_for_a(-1) == ()
+        assert classified_polys_for_a(0) == ()
 
     def test_a_minus_30(self):
-        conductors = sorted(c for _f, c in polys_for_a(-30))
+        conductors = sorted(k.conductor for _f, k in classified_polys_for_a(-30))
         assert conductors == [7, 7, 13, 13, 91, 91]
 
     def test_exhaustive_against_brute_force(self):
         for a in range(-60, 1):
             expected = [TraceOnePoly(a, b) for b in b_range(a)
                         if is_cyclic(TraceOnePoly(a, b))]
-            assert [f for f, _c in polys_for_a(a)] == expected
+            assert [f for f, _k in classified_polys_for_a(a)] == expected
 
     def test_partition_property(self):
         for a in (-30, -44, -100):
             census = enumerate_all(a)
             at_a = sum(1 for k, fs in census.items() for f in fs if f.a == a)
-            assert at_a == len(polys_for_a(a))
+            assert at_a == len(classified_polys_for_a(a))
 
 
 class TestEnumerateField:

@@ -7,10 +7,9 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from cubictrace.arith import is_prime
+from cubictrace.arith import SizeLimitError, is_prime
 from cubictrace.enumeration import (_square_disc_bs, classified_polys_for_a,
-                                    enumerate_all, enumerate_field, min_height,
-                                    polys_for_a)
+                                    enumerate_all, enumerate_field, min_height)
 from cubictrace import fields
 from cubictrace.fields import (FieldClass, _cube_labels, check_key,
                                conductor_of, field_invariants, is_isomorphic)
@@ -47,7 +46,7 @@ class TestConductor:
     def test_matches_padic_oracle(self):
         checked = three_divides_s = 0
         for a in [*range(-3000, 1), -1000000, -1000001, -1000008, -1000022]:
-            for f, _c in polys_for_a(a):
+            for f, _k in classified_polys_for_a(a):
                 assert conductor_of(f) == conductor_padic(f), f
                 checked += 1
                 three_divides_s += math.isqrt(discriminant(f)) % 3 == 0
@@ -284,7 +283,7 @@ class TestFieldClass:
         # phi(7)/3 = 2 residues fit, phi(13)/3 = 4 do not
         monkeypatch.setattr(fields, "SUBGROUP_MAX", 2)
         assert FieldClass(7, (1,)).subgroup == (1, 6)
-        with pytest.raises(RuntimeError, match=r"\(1,\)\) has 4 residues; at most 2"):
+        with pytest.raises(SizeLimitError, match=r"\(1,\)\) has 4 residues; at most 2"):
             FieldClass(13, (1,)).subgroup
 
     def test_key_builds_no_primitive_root(self, monkeypatch):
@@ -292,7 +291,6 @@ class TestFieldClass:
             raise AssertionError(f"primitive root mod {p} built for a key")
 
         monkeypatch.setattr(fields, "_primitive_root", refuse)
-        classified_polys_for_a.cache_clear()
         f = TraceOnePoly(-418581812984887232344126,
                          -92978126936719999982733389613258424)
         assert field_invariants(f) == FieldClass(1255745438954661697032379, (1,))

@@ -1,7 +1,8 @@
 """No module imports a name it never uses, unless it re-exports it in
 `__all__`: an ast walk standing in for a linter's unused-import check.  The
-same walk keeps `padic` a leaf: the classification never imports it, and
-finds top-level names of the package that no code refers to."""
+same walk keeps `padic` a leaf: the classification never imports it, finds
+top-level names of the package that no code refers to, and lists every
+memoized function, so that a new cache is added on purpose."""
 
 import ast
 from pathlib import Path
@@ -112,3 +113,42 @@ def test_no_dead_top_level_names():
     dead = [f"{path.stem}.{name}" for path in _SRC
             for name in defined_names(path.read_text()) if name not in used]
     assert dead == []
+
+
+_MEMOS = ("lru_cache", "cache")
+
+
+def memoized_functions(source: str) -> list[str]:
+    """Functions decorated by functools.lru_cache or functools.cache, bare or
+    called, by attribute or by a (possibly renamed) from-import."""
+    tree = ast.parse(source)
+    aliases = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "functools"
+               for a in node.names if a.name in _MEMOS}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if (isinstance(dec, ast.Attribute) and dec.attr in _MEMOS
+                        or isinstance(dec, ast.Name) and dec.id in aliases):
+                    found.append(node.name)
+    return found
+
+
+def test_walk_finds_memoized_functions():
+    source = ("import functools\nfrom functools import lru_cache as memo, wraps\n"
+              "@functools.cache\ndef f(): pass\n"
+              "@memo(maxsize=8)\ndef g(): pass\n"
+              "@wraps(f)\ndef h(): pass\n"
+              "class C:\n    @functools.lru_cache\n    def m(self): pass\n")
+    assert memoized_functions(source) == ["f", "g", "m"]
+
+
+def test_only_the_listed_functions_are_memoized():
+    # factorize: ideal_count(n), then divisors(n) for the oracle at the same
+    # n; build_parser: one parser per process.  A new memo joins this list
+    # with a measurement that it pays for itself.
+    memos = sorted(f"{path.stem}.{name}" for path in _SRC
+                   for name in memoized_functions(path.read_text()))
+    assert memos == ["arith.factorize", "cli.build_parser"]

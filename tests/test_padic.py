@@ -10,7 +10,7 @@ from cubictrace.padic import (_BRUTE_FORCE_PRIME, SplittingType, _fp_roots,
                               lift_root_zp, roots_mod_p, splitting_type,
                               valuation)
 from cubictrace.arith import factorize, is_prime
-from cubictrace.enumeration import polys_for_a
+from cubictrace.enumeration import classified_polys_for_a
 from cubictrace.fields import is_isomorphic
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic, is_irreducible
 
@@ -134,7 +134,7 @@ class TestLifting:
     def test_zp_matches_breadth_first_oracle(self):
         checked = 0
         for a in range(-1500, 0):
-            for f, _c in polys_for_a(a):
+            for f, _k in classified_polys_for_a(a):
                 for p, _e in factorize(discriminant(f)):
                     if p < 5000:  # above _BRUTE_FORCE_PRIME too
                         assert lift_root_zp(f, p) == lift_root_zp_bfs(f, p), (f, p)
