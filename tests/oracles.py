@@ -46,6 +46,21 @@ def factorize_trial(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def least_prime_factors(n: int) -> list[int]:
+    """lpf[m] = the least prime factor of m for 2 <= m < n (lpf[0] = lpf[1]
+    = 0), by the ascending sieve: each prime p claims the multiples of p
+    that no smaller prime has claimed."""
+    lpf = [0] * n
+    for p in range(2, n):
+        if lpf[p]:
+            continue
+        lpf[p] = p
+        for m in range(p * p, n, p):
+            if not lpf[m]:
+                lpf[m] = p
+    return lpf
+
+
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n):

@@ -7,10 +7,25 @@ from cubictrace import arith
 from cubictrace.arith import (FACTOR_LIMIT, TRIAL_DIVISION_BOUND,
                               SizeLimitError, chi3, divisors, factorize,
                               is_prime)
-from oracles import euler_phi, factorize_trial, primes, subgroup_closure
+from oracles import (euler_phi, factorize_trial, least_prime_factors, primes,
+                     subgroup_closure)
 
 # primes on both sides of the trial-division bound 1024
 _STRADDLING = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
+_TABLE_BOUND = TRIAL_DIVISION_BOUND**2  # 2^20
+# the least primes above 2^19 and 2^20
+_ABOVE_HALF_TABLE, _ABOVE_TABLE = 524309, 1048583
+
+
+def _crossing_cases() -> list[int]:
+    """n >= 2^20 whose cofactor falls below 2^20 during trial division, the
+    last time at 1021, the last prime tried; and n on either side of 2^20."""
+    cases = [2**k * q for q in (_ABOVE_HALF_TABLE, _ABOVE_TABLE)
+             for k in range(1, 12)]
+    cases += [6 * q for q in (_ABOVE_HALF_TABLE, _ABOVE_TABLE)]
+    cases += [1021 * 1031 * r for r in range(1, 50)]
+    cases += range(_TABLE_BOUND - 3000, _TABLE_BOUND + 3001)
+    return cases
 
 
 class TestIsPrime:
@@ -60,6 +75,8 @@ class TestFactorize:
         cases = [p**k for p in _STRADDLING for k in range(1, 6)]
         cases += [p * q * r for p in _STRADDLING for q in _STRADDLING
                   for r in (1, 2, 3, 1021, 1031)]
+        # rho splits the cofactor 1031 * 1033 >= 2^20
+        cases += [1031 * 1033 * r for r in range(1, 50)]
         for n in cases:
             assert factorize(n) == factorize_trial(n), n
 
@@ -70,14 +87,33 @@ class TestFactorize:
         assert factorize(6 * p * q) == ((2, 1), (3, 1), (p, 1), (q, 1))
 
     def test_no_rho_below_the_square_of_the_bound(self, monkeypatch):
+        # nor where the cofactor left after the primes below the bound is
+        # below 2^20 or prime
         def refuse(n):
             raise AssertionError(f"Pollard rho called on {n}")
 
         monkeypatch.setattr(arith, "_pollard_rho", refuse)
-        square = TRIAL_DIVISION_BOUND**2
-        cases = [*range(square - 3000, square), 1019 * 1021, 1021**2]
+        for q in (_ABOVE_HALF_TABLE, _ABOVE_TABLE):
+            assert is_prime(q)
+            assert not any(map(is_prime, range(1 << (q.bit_length() - 1), q)))
+        cases = [*_crossing_cases(), 1019 * 1021, 1021**2]
         for n in cases:
             assert factorize.__wrapped__(n) == factorize_trial(n), n
+
+    def test_powers_of_two(self):
+        for k in range(81):
+            assert factorize(2**k) == (((2, k),) if k else ()), k
+
+    def test_least_factor_table(self):
+        lpf = least_prime_factors(_TABLE_BOUND)
+        table = arith._LEAST_FACTOR
+        assert len(table) == _TABLE_BOUND // 2
+        for i, entry in enumerate(table):
+            m = 2 * i + 1
+            if entry:
+                assert arith._SMALL_PRIMES[entry - 1] == lpf[m] < m, m
+            else:
+                assert m == 1 or lpf[m] == m, m
 
     def test_size_limit(self):
         # the least strong pseudoprime to the bases 2 .. 41, which is_prime

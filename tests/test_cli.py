@@ -100,7 +100,7 @@ class TestIdentify:
         assert run(capsys, "identify", "--poly", poly) == (3, "", f"error: {why}\n")
 
     def test_one_irreducibility_test_per_cyclic_check(self, capsys, monkeypatch):
-        # is_cyclic in _cyclic_poly and again in field_invariants, no more
+        # one is_cyclic per accepted cubic, in field_invariants
         calls = []
 
         def counted(f):
@@ -110,10 +110,10 @@ class TestIdentify:
         monkeypatch.setattr("cubictrace.poly.is_irreducible", counted)
         monkeypatch.setattr(cli, "is_irreducible", counted)
         assert run(capsys, "identify", "--poly", "-2,1")[0] == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
         calls.clear()
         assert run(capsys, "isomorphic", "-2,1", "-37,29")[0] == 0
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_unparsable_exits_3(self, capsys):
         code, _, err = run(capsys, "identify", "--poly", "x^2 + 1")
@@ -329,9 +329,9 @@ class TestExitPaths:
             "import sys\n"
             "from cubictrace import cli\n"
             "from cubictrace.padic import InconsistencyError\n"
-            "def broken(f, g):\n"
+            "def broken(f):\n"
             "    raise InconsistencyError('broken invariant')\n"
-            "cli.is_isomorphic = broken\n"
+            "cli.field_invariants = broken\n"
             "sys.exit(cli.main(['isomorphic', '-2,1', '-4,-1']))\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               env=spawn_env(), timeout=60)
@@ -387,10 +387,10 @@ class TestExitPaths:
 
     @pytest.mark.parametrize("exc", [InconsistencyError, ArithmeticError])
     def test_internal_errors_exit_4(self, capsys, monkeypatch, exc):
-        def broken(f, g):
+        def broken(f):
             raise exc("broken invariant")
 
-        monkeypatch.setattr(cli, "is_isomorphic", broken)
+        monkeypatch.setattr(cli, "field_invariants", broken)
         code, out, err = run(capsys, "isomorphic", "-2,1", "-4,-1")
         assert (code, out, err) == (EXIT_INTERNAL, "", "error: broken invariant\n")
 
