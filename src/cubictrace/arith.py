@@ -8,11 +8,7 @@ per odd m < 2^20 (512 KB, built at import in about 2 ms).  A cofactor of
 2^20 or more with no prime below 2^10 goes to Miller-Rabin and Pollard rho.
 It refuses any n >= FACTOR_LIMIT (about 3.3 * 10^24) with a SizeLimitError:
 below that bound the Miller-Rabin witnesses prove primality, so a
-factorization is exact; above it one could silently be wrong.  Its LRU is
-small: its one reuse is ideal_count(n), then the oracle's divisors(n) at the
-same n.  Even with the table that reuse pays: comparing the two d_N for
-every N <= 10^5 takes 0.75 s of CPU with the LRU and 0.82 s without it
-(Python 3.11 on a 2-vCPU VM).
+factorization is exact; above it one could silently be wrong.
 
 Everything here is pure Python integer arithmetic (arbitrary precision),
 deterministic, and safe to call concurrently.
@@ -21,7 +17,6 @@ deterministic, and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import compress
 
 TRIAL_DIVISION_BOUND = 1 << 10
@@ -142,7 +137,6 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
     _factor_into(n // d, acc)
 
 
-@lru_cache(maxsize=256)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factor 1 <= n < FACTOR_LIMIT into its (prime, exponent) pairs, primes
     ascending (none for 1): trial division by the primes below

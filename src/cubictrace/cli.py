@@ -130,6 +130,8 @@ def cmd_count(args) -> int:
 
 def cmd_zeta_coeffs(args) -> int:
     d = ideal_count_oracle if args.oracle else ideal_count
+    if args.oracle:  # sieve once up to --max, or refuse it before any work
+        ideal_count_oracle(args.max)
     # the third entry is series_coeff(n), taken from d_n: 0 at 3 | n
     triples = [(n, dn, dn if n % 3 else 0)
                for n, dn in ((n, d(n)) for n in range(1, args.max + 1))]

@@ -7,7 +7,11 @@ from __future__ import annotations
 from itertools import count
 from math import isqrt
 
-from .arith import InconsistencyError, chi3, divisors, factorize
+from .arith import InconsistencyError, SizeLimitError, divisors, factorize
+
+# ideal_count_oracle answers every N < ORACLE_LIMIT; its table takes one byte
+# per N, so 16 MB at the limit.
+ORACLE_LIMIT = 1 << 24
 
 
 def _mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
@@ -87,11 +91,51 @@ def ideal_count(n: int) -> int:
     return count
 
 
+# +1 and -1 mod 256, as bytes.translate tables
+_UP = bytes((i + 1) & 255 for i in range(256))
+_DOWN = bytes((i - 1) & 255 for i in range(256))
+
+
+def _divisor_sums(size: int) -> bytearray:
+    """d_N = sum_{d|N} chi3(d) at index N for 0 < N < size (0 at index 0),
+    by the Dirichlet-convolution sieve: chi3(k) is added at every multiple
+    of k, one slice at a time, with no factorization.
+
+    Each byte counts mod 256, which is exact because 0 <= d_N < 256 for
+    every N this module sieves.  d_N is a product of factors k + 1, one per
+    p^k || N with p = 1 (mod 3), or 0; so d_N >= 256 needs that product to
+    reach 2^8, and the least N where it does is 254889990901 = 7^3 * 13 *
+    19 * 31 * 37 * 43 * 61 (about 2.5e11), far past ORACLE_LIMIT.  Partial
+    sums may dip below 0 on the way; mod 256 they come back.
+    """
+    d = bytearray(size)
+    for k in range(1, size):
+        if k % 3:
+            d[k::k] = d[k::k].translate(_UP if k % 3 == 1 else _DOWN)
+    return d
+
+
+# d_N by N, grown by ideal_count_oracle; empty until its first call
+_oracle_table = bytearray()
+
+
 def ideal_count_oracle(n: int) -> int:
-    """Same quantity by the independent divisor sum: d_n = sum_{d|n} chi3(d)."""
+    """Same quantity by the independent divisor sum: d_n = sum_{d|n} chi3(d).
+
+    Read from a table of _divisor_sums, never from factorize.  The table is
+    built on first use and regrown to the next power of two above n (at
+    least 2^12), so ascending calls cost at most twice the final sieve.
+    Refuses n >= ORACLE_LIMIT with a SizeLimitError before allocating."""
+    global _oracle_table
     if n < 1:
         raise ValueError(f"norm must be positive, got {n}")
-    return sum(map(chi3, divisors(n)))
+    if n >= ORACLE_LIMIT:
+        raise SizeLimitError(f"the divisor-sum oracle sieves only N < "
+                             f"{ORACLE_LIMIT}, got {n}")
+    table = _oracle_table
+    if n >= len(table):
+        table = _oracle_table = _divisor_sums(max(1 << 12, 1 << n.bit_length()))
+    return table[n]
 
 
 def series_coeff(n: int) -> int:

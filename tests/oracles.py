@@ -61,6 +61,12 @@ def least_prime_factors(n: int) -> list[int]:
     return lpf
 
 
+def divisor_sum_chi3(n: int) -> int:
+    """d_n = sum of chi3(d) over the d <= n dividing n, each d tried by
+    division: no factorization and no sieve."""
+    return sum((0, 1, -1)[d % 3] for d in range(1, n + 1) if n % d == 0)
+
+
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n):

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from cubictrace import arith
@@ -86,6 +87,15 @@ class TestFactorize:
         assert factorize(p * q) == ((p, 1), (q, 1))
         assert factorize(6 * p * q) == ((2, 1), (3, 1), (p, 1), (q, 1))
 
+    def test_hardest_semiprime_below_the_limit(self):
+        # the two largest primes below the square root of FACTOR_LIMIT: rho
+        # costs about the square root of the least prime factor, and no
+        # composite below the limit has one above q
+        p, q = 1821275395019, 1821275395031
+        assert sympy.isprime(p) and sympy.isprime(q)
+        assert sympy.nextprime(p) == q and sympy.nextprime(q)**2 > FACTOR_LIMIT
+        assert factorize(p * q) == ((p, 1), (q, 1))
+
     def test_no_rho_below_the_square_of_the_bound(self, monkeypatch):
         # nor where the cofactor left after the primes below the bound is
         # below 2^20 or prime
@@ -98,7 +108,7 @@ class TestFactorize:
             assert not any(map(is_prime, range(1 << (q.bit_length() - 1), q)))
         cases = [*_crossing_cases(), 1019 * 1021, 1021**2]
         for n in cases:
-            assert factorize.__wrapped__(n) == factorize_trial(n), n
+            assert factorize(n) == factorize_trial(n), n
 
     def test_powers_of_two(self):
         for k in range(81):

@@ -11,7 +11,7 @@ import pytest
 from cubictrace import cli, enumeration
 from cubictrace.arith import FACTOR_LIMIT
 from cubictrace.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_USAGE, main
-from cubictrace.eisenstein import ideal_count
+from cubictrace.eisenstein import ORACLE_LIMIT, ideal_count
 from cubictrace.enumeration import enumerate_field
 from cubictrace.fields import SUBGROUP_MAX, field_invariants
 from cubictrace.padic import InconsistencyError
@@ -375,6 +375,15 @@ class TestExitPaths:
         assert proc.returncode == EXIT_INTERNAL == 4 and out == b""
         assert err.startswith(f"error: cannot factor {n}: ".encode())
         assert err.count(b"\n") == 1
+
+    @pytest.mark.parametrize("m", [ORACLE_LIMIT, 10**30])
+    def test_oracle_past_its_limit_exits_4(self, m):
+        # refused before the sieve or any N is computed
+        proc = spawn("zeta-coeffs", "--oracle", "--max", str(m), "--format", "csv")
+        out, err = proc.communicate(timeout=10)
+        assert proc.returncode == EXIT_INTERNAL == 4 and out == b""
+        assert err == (f"error: the divisor-sum oracle sieves only N < "
+                       f"{ORACLE_LIMIT}, got {m}\n").encode()
 
     def test_large_semiprime_b_exits_3(self):
         # |b| is a 30-digit semiprime, which takes seconds to factor; the

@@ -2,11 +2,13 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from cubictrace.arith import InconsistencyError, is_prime
-from cubictrace.eisenstein import (_cornacchia, _mul, _valuation_at,
-                                   formula3_count, ideal_count,
+from cubictrace import arith, eisenstein
+from cubictrace.arith import InconsistencyError, SizeLimitError, is_prime
+from cubictrace.eisenstein import (ORACLE_LIMIT, _cornacchia, _mul,
+                                   _valuation_at, formula3_count, ideal_count,
                                    ideal_count_oracle, mod2_part_is_square,
                                    p1_part, series_coeff)
+from oracles import divisor_sum_chi3
 
 
 class TestZw:
@@ -73,6 +75,65 @@ class TestIdealCount:
         import math
         if math.gcd(m, n) == 1:
             assert ideal_count(m * n) == ideal_count(m) * ideal_count(n)
+
+
+class TestOracle:
+    """ideal_count_oracle reads the divisor-sum sieve; each test starts it
+    from an empty table."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(eisenstein, "_oracle_table", bytearray())
+
+    def test_matches_brute_force_divisor_sum(self):
+        assert [ideal_count_oracle(n) for n in range(1, 3001)] == \
+            [divisor_sum_chi3(n) for n in range(1, 3001)]
+
+    def test_values_survive_regrowth(self):
+        first = ideal_count_oracle(10)
+        small = eisenstein._oracle_table
+        assert len(small) == 1 << 12
+        assert ideal_count_oracle(5000) == divisor_sum_chi3(5000)
+        grown = eisenstein._oracle_table
+        assert len(grown) == 1 << 13 and grown[:len(small)] == small
+        assert ideal_count_oracle(10) == first == divisor_sum_chi3(10)
+        assert eisenstein._oracle_table is grown
+
+    def test_never_factors(self, monkeypatch):
+        expected = [ideal_count(n) for n in range(1, 10**4 + 1)]
+
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        for module in (arith, eisenstein):
+            monkeypatch.setattr(module, "factorize", refuse)
+            monkeypatch.setattr(module, "divisors", refuse)
+        assert [ideal_count_oracle(n) for n in range(1, 10**4 + 1)] == expected
+
+    def test_catches_a_wrong_factorization(self, monkeypatch):
+        # 1009 * 1033 = 1 (mod 3) reported as a prime = 1 (mod 3): the closed
+        # form counts 2 ideals, the divisor sum still 4
+        n, factorize = 1009 * 1033, arith.factorize
+
+        def planted(m):
+            return ((n, 1),) if m == n else factorize(m)
+
+        for module in (arith, eisenstein):
+            monkeypatch.setattr(module, "factorize", planted)
+        assert (ideal_count(n), ideal_count_oracle(n)) == (2, 4)
+
+    def test_size_limit(self):
+        for n in (ORACLE_LIMIT, 10**30):
+            with pytest.raises(SizeLimitError, match="divisor-sum oracle"):
+                ideal_count_oracle(n)
+        assert len(eisenstein._oracle_table) == 0  # refused before allocating
+        with pytest.raises(ValueError):
+            ideal_count_oracle(0)
+
+    def test_counts_fit_in_a_byte(self):
+        # the least N with d_N >= 256, which bounds the sieve's mod-256 count
+        assert ideal_count(7**3 * 13 * 19 * 31 * 37 * 43 * 61) == 256
+        assert 7**3 * 13 * 19 * 31 * 37 * 43 * 61 == 254889990901 > ORACLE_LIMIT
 
 
 class TestSeriesCoeff:

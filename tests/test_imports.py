@@ -2,7 +2,8 @@
 `__all__`: an ast walk standing in for a linter's unused-import check.  The
 same walk keeps `padic` a leaf: the classification never imports it, finds
 top-level names of the package that no code refers to, and lists every
-memoized function, so that a new cache is added on purpose."""
+memoized function and every module-level name a function rebinds, so that
+a new cache is added on purpose."""
 
 import ast
 from pathlib import Path
@@ -146,9 +147,29 @@ def test_walk_finds_memoized_functions():
 
 
 def test_only_the_listed_functions_are_memoized():
-    # factorize: ideal_count(n), then divisors(n) for the oracle at the same
-    # n; build_parser: one parser per process.  A new memo joins this list
-    # with a measurement that it pays for itself.
+    # build_parser: one parser per process.  A new memo joins this list with
+    # a measurement that it pays for itself.
     memos = sorted(f"{path.stem}.{name}" for path in _SRC
                    for name in memoized_functions(path.read_text()))
-    assert memos == ["arith.factorize", "cli.build_parser"]
+    assert memos == ["cli.build_parser"]
+
+
+def rebound_globals(source: str) -> list[str]:
+    """Module-level names that a function declares `global`, at any depth."""
+    return [name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Global) for name in node.names]
+
+
+def test_walk_finds_rebound_globals():
+    source = ("TABLE = []\ncount = 0\n"
+              "def f():\n    global count\n    count += 1\n"
+              "class C:\n    def m(self):\n        global TABLE, other\n")
+    assert rebound_globals(source) == ["count", "TABLE", "other"]
+
+
+def test_only_the_listed_globals_are_rebound():
+    # _oracle_table: d_N by N, regrown by ideal_count_oracle.  A cache kept
+    # in a module variable joins this list on the same terms as a memo.
+    rebound = sorted(f"{path.stem}.{name}" for path in _SRC
+                     for name in rebound_globals(path.read_text()))
+    assert rebound == ["eisenstein._oracle_table"]
