@@ -129,23 +129,22 @@ def cmd_count(args) -> int:
 
 
 def cmd_zeta_coeffs(args) -> int:
-    d = ideal_count_oracle if args.oracle else ideal_count
-    if args.oracle:  # sieve once up to --max, or refuse it before any work
-        ideal_count_oracle(args.max)
-    # the third entry is series_coeff(n), taken from d_n: 0 at 3 | n
-    triples = [(n, dn, dn if n % 3 else 0)
-               for n, dn in ((n, d(n)) for n in range(1, args.max + 1))]
-    if args.format == "csv":
-        print("N,d_N,series_coeff")
-        for n, dn, sn in triples:
-            print(f"{n},{dn},{sn}")
-    elif args.format == "json":
-        print(json.dumps([{"N": n, "d_N": dn, "series_coeff": sn}
-                          for n, dn, sn in triples], indent=2))
-    else:
-        for n, dn, _sn in triples:
-            if n % 3 == 1 and dn > 0:
-                print(f"d_{n} = {dn}")
+    ideal_count_oracle(args.max)  # sieve once up to --max, or refuse it first
+    write, fmt = sys.stdout.write, args.format
+    if fmt == "csv":
+        write("N,d_N,series_coeff\n")
+    for n in range(1, args.max + 1):  # a row at a time, none kept
+        dn = ideal_count_oracle(n)
+        sn = dn if n % 3 else 0  # series_coeff(n), from the row's own d_n
+        if fmt == "csv":
+            write(f"{n},{dn},{sn}\n")
+        elif fmt == "json":  # json.dumps(indent=2)'s layout
+            write(f'{"," if n > 1 else "["}\n  {{\n    "N": {n},\n    '
+                  f'"d_N": {dn},\n    "series_coeff": {sn}\n  }}')
+        elif n % 3 == 1 and dn > 0:
+            write(f"d_{n} = {dn}\n")
+    if fmt == "json":
+        write("\n]\n")
     return EXIT_OK
 
 
@@ -230,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta-coeffs", help="ideal counts of Q(sqrt(-3))")
     p.add_argument("--max", type=_positive, required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="use the divisor-sum algorithm")
     add_format(p, "csv")
     p.set_defaults(func=cmd_zeta_coeffs)
 

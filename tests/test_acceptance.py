@@ -183,4 +183,4 @@ def test_criterion_10_norm_proportionality():
     assert len(polys) == 36
     bad = [f for f in polys if not norm_proportionality_check(f).overall]
     _report("criterion 10 (norm proportionality)", not bad,
-            "all 36 table polynomials: |qnorm^2 - (2/3) H^2| < 1e-9")
+            "all 36 table polynomials: |qnorm^2 - (2/3) H^2| < 1e-9 * (2/3) H^2")

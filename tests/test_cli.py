@@ -8,10 +8,10 @@ import sys
 import inputs
 import pytest
 
-from cubictrace import cli, enumeration
+from cubictrace import cli, eisenstein, enumeration
 from cubictrace.arith import FACTOR_LIMIT
 from cubictrace.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_USAGE, main
-from cubictrace.eisenstein import ORACLE_LIMIT, ideal_count
+from cubictrace.eisenstein import ORACLE_LIMIT, ideal_count, series_coeff
 from cubictrace.enumeration import enumerate_field
 from cubictrace.fields import SUBGROUP_MAX, field_invariants
 from cubictrace.padic import InconsistencyError
@@ -226,22 +226,55 @@ class TestZetaCoeffs:
         assert [r["series_coeff"] for r in rows] == \
             ["1", "0", "0", "1", "0", "0", "2", "0", "0", "0"]
 
-    def test_one_ideal_count_per_row(self, capsys, monkeypatch):
-        # series_coeff(n) is read off the row's own d_n
-        calls = []
-        monkeypatch.setattr(cli, "ideal_count",
-                            lambda n: calls.append(n) or ideal_count(n))
+    def test_never_factors(self, capsys, monkeypatch):
+        # every d_N is read from the divisor-sum sieve, and series_coeff(n)
+        # from the row's own d_n
+        expected = [f"{n},{ideal_count(n)},{series_coeff(n)}" for n in range(1, 31)]
+
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(cli, "ideal_count", refuse)
+        monkeypatch.setattr(eisenstein, "factorize", refuse)
         code, out, _ = run(capsys, "zeta-coeffs", "--max", "30", "--format", "csv")
-        assert code == 0 and calls == list(range(1, 31))
-        assert out.splitlines()[1:10] == [
+        assert code == 0 and out.splitlines()[1:] == expected
+        assert expected[:9] == [
             "1,1,1", "2,0,0", "3,1,0", "4,1,1", "5,0,0", "6,0,0", "7,2,2",
             "8,0,0", "9,1,0"]
 
-    def test_oracle_agrees(self, capsys):
-        _, plain, _ = run(capsys, "zeta-coeffs", "--max", "60", "--format", "csv")
-        _, oracle, _ = run(capsys, "zeta-coeffs", "--max", "60", "--format",
-                           "csv", "--oracle")
-        assert plain == oracle
+    def test_oracle_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zeta-coeffs", "--max", "10", "--oracle"])
+        assert exc.value.code == EXIT_USAGE == 2
+        assert "unrecognized arguments: --oracle" in capsys.readouterr().err
+
+    @staticmethod
+    def json_child(m: int, stdout) -> tuple[bytes, int]:
+        """zeta-coeffs --max m --format json in a fresh interpreter: its
+        stdout, and its peak RSS in kB as the child reads it.  That is
+        VmHWM, the peak of the child's own image: getrusage's ru_maxrss
+        also counts the pytest process it was forked from."""
+        script = ("import re, sys\n"
+                  "from cubictrace.cli import main\n"
+                  "code = main(['zeta-coeffs', '--max', sys.argv[1], '--format', 'json'])\n"
+                  "sys.stdout.flush()\n"
+                  "with open('/proc/self/status') as fh:\n"
+                  "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1], file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(m)], stdout=stdout,
+                              stderr=subprocess.PIPE, env=spawn_env(), timeout=120)
+        assert proc.returncode == 0
+        return proc.stdout, int(proc.stderr)
+
+    def test_json_streams_in_bounded_memory(self):
+        out, _ = self.json_child(300, subprocess.PIPE)
+        assert json.loads(out) == [
+            {"N": n, "d_N": ideal_count(n), "series_coeff": series_coeff(n)}
+            for n in range(1, 301)]
+        # no row is kept: 300000 rows are about 20 MB of JSON, which took
+        # over 300 MB when the array was built before printing
+        _, peak_kb = self.json_child(300000, subprocess.DEVNULL)
+        assert peak_kb < 64 * 1024
 
 
 class TestVerify:
@@ -379,7 +412,7 @@ class TestExitPaths:
     @pytest.mark.parametrize("m", [ORACLE_LIMIT, 10**30])
     def test_oracle_past_its_limit_exits_4(self, m):
         # refused before the sieve or any N is computed
-        proc = spawn("zeta-coeffs", "--oracle", "--max", str(m), "--format", "csv")
+        proc = spawn("zeta-coeffs", "--max", str(m), "--format", "csv")
         out, err = proc.communicate(timeout=10)
         assert proc.returncode == EXIT_INTERNAL == 4 and out == b""
         assert err == (f"error: the divisor-sum oracle sieves only N < "

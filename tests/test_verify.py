@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cubictrace import verify
 from cubictrace.fields import field_invariants
 from cubictrace.poly import TraceOnePoly
 from cubictrace.verify import (formula3_divergences,
@@ -102,3 +103,17 @@ class TestNormProportionality:
     def test_rejects_noncyclic(self):
         with pytest.raises(ValueError):
             norm_proportionality_check(TraceOnePoly(-2, 2))
+
+    def test_tolerance_is_relative_to_the_height(self):
+        # err = 1.164e-9 at (2/3)H^2 = 1628362.67: float rounding, which an
+        # absolute 1e-9 bound took for a failure
+        f = TraceOnePoly(-814181, -280781219)
+        report = norm_proportionality_check(f)
+        assert report.overall
+        assert "err = 1.164e-09" in report.to_text()
+
+    def test_a_wrong_root_still_fails(self, monkeypatch):
+        f = TraceOnePoly(-814181, -280781219)
+        x, y, z = real_roots(f)
+        monkeypatch.setattr(verify, "real_roots", lambda g: (x + 1e-5, y, z))
+        assert not norm_proportionality_check(f).overall
