@@ -1,17 +1,20 @@
 """Exhaustive enumeration of cyclic trace-one cubics.
 
 Enumeration is driven by the t-coefficient a.  With h = 1 - 3a, the b whose
-discriminant is a nonzero square correspond to the elements of norm h^3 in
-Z[w], which are generated from the factorization of h (Cornacchia for each
-split prime) instead of testing every b in the interval b_range(a).  The
-walk builds each alpha from its valuations j_i at the split primes, and
-those alone give the conductor (the p_i with 3 not dividing j_i), the
-irreducibility (conductor > 1) and the cubic character; see `fields`.
+discriminant is a nonzero square correspond to the conjugate pairs of
+elements of norm h^3 in Z[w], which are generated from the factorization of
+h (Cornacchia for each split prime) instead of testing every b in the
+interval b_range(a).  The walk builds one alpha of each pair from its
+valuations j_i at the split primes, and those alone give the conductor (the
+p_i with 3 not dividing j_i), the irreducibility (conductor > 1) and the
+cubic character; see `fields`.  Every such alpha gives an integer b: the
+mod-27 congruence that makes it one is proved in _square_disc_alphas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from .arith import InconsistencyError, factorize
@@ -43,41 +46,65 @@ def b_range(a: int) -> range:
     return range(lo, hi + 1)
 
 
+@lru_cache(maxsize=4096)
+def _factor_row(p: int, e: int) -> tuple:
+    """The choices at a split prime p exactly dividing h as p^e: the pairs
+    ((p, j), pi^j conj(pi)^(3e-j)) for j = 0 .. 3e, with pi = _cornacchia(p).
+    Memoized, so Cornacchia and the powers run once per (p, e), not per a."""
+    pi = _cornacchia(p)
+    pows = [(1, 0)]
+    for _ in range(3 * e):
+        pows.append(_mul(pows[-1], pi))
+    return tuple(((p, j), _mul(pows[j], _conj(pows[3 * e - j])))
+                 for j in range(3 * e + 1))
+
+
 def _norm_cube_elements(h: int):
-    """Lazily, every alpha = x + y*w of norm h^3 with alpha = 2 (mod 3), for
-    h prime to 3, each with its valuations ((p_i, j_i), ...).
+    """Lazily, for h prime to 3, one alpha = x + y*w of each conjugate pair
+    with norm h^3, alpha = 2 (mod 3) and y != 0, taken with y > 0, each with
+    its valuations ((p_i, j_i), ...).
 
     By unique factorization alpha = u * r * prod pi_i^j_i conj(pi_i)^(3e_i-j_i)
     over the split primes p_i = pi_i conj(pi_i), where p_i^e_i exactly divides
     h, r is the rational part from the inert primes and u is a unit.  Every
     factor is taken = 1 (mod 3); of the six units only u = -1 then gives
     alpha = 2 (mod 3).  An inert prime with odd exponent in h^3 leaves no
-    alpha at all.  Depth-first, so memory stays linear in the number of
-    primes even when 6 d(h^3) elements would not fit.
+    alpha at all.
+
+    Conjugation sends every j_i to 3e_i - j_i.  While the prefix is tied
+    (each j so far equals 3e - j) the walk takes only 2j <= 3e, so of each
+    pair it reaches the one whose first untied j has 2j < 3e.  The fully
+    tied alpha is its own conjugate, rational, and has disc 0: it is
+    dropped.  A kept alpha with y < 0 is replaced by its conjugate, with its
+    valuations as walked; they give the character chi^2 for chi, the same
+    field.  Depth-first, so memory stays linear in the number of primes
+    even when 6 d(h^3) elements would not fit.
     """
     rational = -1
-    choices = []
+    rows = []
     for p, e in factorize(h):
         if p % 3 == 2:
             if e % 2:
                 return
             rational *= (-p) ** (3 * e // 2)
-            continue
-        pi = _cornacchia(p)
-        pows = [(1, 0)]
-        for _ in range(3 * e):
-            pows.append(_mul(pows[-1], pi))
-        choices.append([((p, j), _mul(pows[j], _conj(pows[3 * e - j])))
-                        for j in range(3 * e + 1)])
+        else:
+            rows.append(_factor_row(p, e))
 
-    def walk(i: int, alpha: tuple[int, int], js: tuple):
-        if i == len(choices):
-            yield alpha, js
+    def walk(i: int, alpha: tuple[int, int], js: tuple, tied: bool):
+        if i == len(rows):
+            x, y = alpha
+            if y > 0:
+                yield alpha, js
+            elif y < 0:
+                yield (x - y, -y), js
             return
-        for pj, factor in choices[i]:
-            yield from walk(i + 1, _mul(alpha, factor), (*js, pj))
+        row = rows[i]  # 3e + 1 entries; while tied, only 2j <= 3e
+        for j in range((len(row) + 1) // 2 if tied else len(row)):
+            pj, factor = row[j]
+            yield from walk(i + 1, _mul(alpha, factor), (*js, pj),
+                            tied and 2 * j == len(row) - 1)
 
-    yield from walk(0, (rational, 0), ())
+    yield from walk(0, (rational, 0), (), True)
 
 
 def _square_disc_alphas(a: int):
@@ -87,19 +114,28 @@ def _square_disc_alphas(a: int):
     With h = 1 - 3a and q = 9a + 27b - 2, disc = (4h^3 - q^2)/27, so
     disc = s^2 exactly when alpha = (q + 3s*sqrt(-3))/2 = x + y*w, with
     q = 2x - y and y = 3s, has norm h^3.  Such an alpha is = 2 (mod 3), since
-    q = 1 (mod 3).  Keep s > 0 (the conjugate gives the same b; s = 0 is
-    disc = 0) and q = 9a - 2 (mod 27).
+    q = 1 (mod 3).  The walk gives one alpha per conjugate pair (the
+    conjugate gives the same b) and none with s = 0 (disc = 0).
+
+    Every alpha = 2 (mod 3) of norm h^3 has q = 9a - 2 (mod 27), so b is an
+    integer.  Since 3 | y, q^2 = 4h^3 - 3y^2 = 4h^3 (mod 27), and
+    h^3 = 1 - 9a (mod 27) gives 4h^3 = (9a - 2)^2 (mod 27).  So 27 divides
+    (q - (9a - 2)) (q + 9a - 2), and q + 9a - 2 = 2 (mod 3) is a unit mod 27.
+    An alpha off that class raises InconsistencyError instead of being
+    skipped.
     """
     rng = b_range(a)
     for (x, y), js in _norm_cube_elements(1 - 3 * a):
-        top = 2 * x - y - 9 * a + 2
-        if y > 0 and top % 27 == 0:
-            b = top // 27
-            if b not in rng:
-                raise InconsistencyError(
-                    f"b = {b} has a square discriminant but lies outside "
-                    f"b_range({a})")
-            yield b, js
+        b, r = divmod(2 * x - y - 9 * a + 2, 27)
+        if r:
+            raise InconsistencyError(
+                f"alpha = {x} + {y}w of norm (1 - 3a)^3 has q = {2 * x - y} "
+                f"!= 9a - 2 (mod 27) at a = {a}")
+        if b not in rng:
+            raise InconsistencyError(
+                f"b = {b} has a square discriminant but lies outside "
+                f"b_range({a})")
+        yield b, js
 
 
 def _square_disc_bs(a: int) -> list[int]:

@@ -1,7 +1,11 @@
+import hashlib
+import random
+from math import prod
+
 import pytest
 
 from cubictrace import enumeration
-from cubictrace.arith import is_prime
+from cubictrace.arith import factorize, is_prime
 from cubictrace.eisenstein import _cornacchia, ideal_count
 from cubictrace.enumeration import (_square_disc_bs, b_range,
                                     classified_polys_for_a, enumerate_all,
@@ -46,6 +50,27 @@ class TestSquareDiscBs:
         assert 1 - 3 * a == h
         assert _square_disc_bs(a) == square_disc_bs_scan(a)
 
+    @pytest.mark.parametrize("h", [
+        7**2 * 13**2, 7**4 * 13, 2**2 * 7 * 13, 5**2 * 7**2,
+        7**2 * 13**2 * 19**2, 7 * 13 * 19 * 31 * 37, 2**2 * 7**2 * 13**2,
+        10,                         # inert 2 and 5 to odd powers: no b
+    ])
+    def test_one_b_per_conjugate_pair(self, h):
+        # The prod (3e_i + 1) alphas of norm h^3 pair off under conjugation,
+        # but for the real one when every e_i is even; each pair gives one b.
+        # Most of these heights are out of the scan's reach.
+        a, r = divmod(1 - h, 3)
+        assert r == 0
+        fs = factorize(h)
+        es = [e for p, e in fs if p % 3 == 1]
+        if any(e % 2 for p, e in fs if p % 3 == 2):
+            expected = 0
+        else:
+            expected = (prod(3 * e + 1 for e in es)
+                        - all(e % 2 == 0 for e in es)) // 2
+        bs = _square_disc_bs(a)
+        assert len(bs) == expected and len(set(bs)) == len(bs)
+
     def test_b_outside_range_is_inconsistent(self, monkeypatch):
         monkeypatch.setattr(enumeration, "b_range", lambda a: range(0, 0))
         with pytest.raises(InconsistencyError):
@@ -72,6 +97,20 @@ class TestSquareDiscBs:
 
 
 class TestPolysForA:
+    def test_golden_digest(self):
+        # sha256 of the (a, b, conductor, character) lines, pinned from the
+        # census before the walk took one alpha per conjugate pair.
+        rng = random.Random(16)
+        avals = [*range(-3000, 1), *range(-10**6 - 199, -10**6 + 1),
+                 *(rng.randrange(-10**16, -10**15) for _ in range(20))]
+        digest = hashlib.sha256()
+        for a in avals:
+            for f, k in classified_polys_for_a(a):
+                line = f"{a},{f.b},{k.conductor},{k.character}\n"
+                digest.update(line.encode())
+        assert digest.hexdigest() == (
+            "1fa8489cc28926a0bbd710ec20434d0a55642bfbf5f8ff21f313aa05a21b2abd")
+
     def test_examples(self):
         assert [(f, k.conductor) for f, k in classified_polys_for_a(-2)] == \
             [(TraceOnePoly(-2, 1), 7)]

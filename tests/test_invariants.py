@@ -35,6 +35,18 @@ def test_square_disc_b_outside_b_range_in_enumeration():
     """)
 
 
+def test_alpha_off_the_mod_27_class_in_enumeration():
+    # At a = -2, alpha = 1 + 3w has q = 2x - y = -1, not = 9a - 2 (mod 27):
+    # the census raises instead of skipping it.
+    assert raises_inconsistency_under_O("""
+        from cubictrace import enumeration
+        enumeration._norm_cube_elements = lambda h: [((1, 3), ((7, 1),))]
+
+        def run():
+            enumeration.classified_polys_for_a(-2)
+    """)
+
+
 def test_min_height_differs_from_conductor():
     assert raises_inconsistency_under_O("""
         from cubictrace import enumeration
