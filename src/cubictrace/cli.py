@@ -9,6 +9,7 @@ import json
 import os
 import re
 import sys
+from itertools import compress, islice
 
 from .eisenstein import ideal_count, ideal_count_oracle
 from .enumeration import classified_polys_for_a, enumerate_field
@@ -42,18 +43,21 @@ _SLICE = 4096  # items per write in _write_joined
 
 
 def _write_joined(items, sep: str) -> None:
-    """Write sep.join(map(str, items)) to stdout a slice of items at a time,
-    so memory stays bounded by the slice, not by the output."""
-    write = sys.stdout.write
-    for i in range(0, len(items), _SLICE):
-        if i:
-            write(sep)
-        write(sep.join(map(str, items[i:i + _SLICE])))
+    """Write the ints of the iterable items, sep between them, to stdout a
+    slice of _SLICE items at a time, so memory stays bounded by the slice,
+    not by the output.  One %-format renders a slice, sep before each item;
+    it beats repr(list) then str.replace, and sep.join(map(str, ...))."""
+    write, fmt = sys.stdout.write, sep + "%d"
+    skip = len(sep)  # no sep before the first item
+    while chunk := tuple(islice(items, _SLICE)):
+        write((fmt * len(chunk) % chunk)[skip:])
+        skip = 0
 
 
 def cmd_identify(args) -> int:
     f, k = _field_of(args.poly)
-    sub = k.subgroup  # ascending; may refuse, so before any output
+    mask = k._kernel_mask()  # may refuse, so before any output
+    sub = compress(range(k.conductor), mask)  # ker chi, ascending
     disc = discriminant(f)
     index_sq = disc // k.discriminant
     if args.format == "json":

@@ -44,21 +44,38 @@ SUBGROUP_MAX = 10**6
 def _cube_labels(p: int) -> bytes:
     """Byte x holds k where (x/pi)_3 = w^k, that is x^((p-1)/3) = w^k mod
     pi, for pi = x_pi + y_pi w = _cornacchia(p), so w = -x_pi / y_pi mod p;
-    byte 0 holds _NON_UNIT.  With the generator g of g^((p-1)/3) = w, g^i
-    has label i mod 3."""
+    byte 0 holds _NON_UNIT.
+
+    For the least primitive root g, three facts:
+    - -1 = g^((p-1)/2) lies in the cubes H = <g^3>, since 6 | p - 1; so
+      the walk over g^(3i), i < (p-1)/6, reaches half of H, and x -> p - x
+      (the bytes read backwards) the other half;
+    - the units are the cosets H, gH and g^2 H, labelled 0, label_g and
+      2 label_g mod 3, where label_g = 1 if g^((p-1)/3) = w, else 2;
+    - x -> g x mod p, which takes H to gH, is g strided slices: for k < g,
+      the x in [kp/g, (k+1)p/g) land at g x - kp with step g."""
     x, y = _cornacchia(p)
     g = _primitive_root(p)
-    if pow(g, (p - 1) // 3, p) != -x * pow(y, -1, p) % p:
-        g = pow(g, -1, p)  # (g^-1)^((p-1)/3) = w^-2 = w
-    labels = bytearray(p)  # the cubes g^(3i) keep label 0
-    labels[0] = _NON_UNIT
-    u = g
-    for _ in range((p - 1) // 3):
-        labels[u] = 1
-        u = u * g % p
-        labels[u] = 2
-        u = u * g % p * g % p
-    return bytes(labels)
+    label_g = 1 if pow(g, (p - 1) // 3, p) == -x * pow(y, -1, p) % p else 2
+    half = bytearray(p)
+    u, g3 = 1, pow(g, 3, p)
+    for _ in range((p - 1) // 6):
+        half[u] = 1
+        u = u * g3 % p
+    # read big-endian and shifted a byte, byte x holds half[p - x]
+    cubes = int.from_bytes(half, "little") + (int.from_bytes(half, "big") << 8)
+    del half  # each buffer is p bytes: drop it once used (4p at the peak)
+    twice = (2 * cubes).to_bytes(p, "little")  # 2 on H, so in_gh has 2 on gH
+    in_gh = bytearray(p)
+    for k in range(g):
+        lo, hi = -(-k * p // g), -(-(k + 1) * p // g)
+        in_gh[g * lo - k * p::g] = twice[lo:hi]
+    del twice
+    # bytes 1 on H, 2 on gH, 0 on g^2 H and 3 at x = 0
+    coset = cubes + int.from_bytes(in_gh, "little") + 3
+    del cubes, in_gh
+    return coset.to_bytes(p, "little").translate(
+        bytes((3 - label_g, 0, label_g, _NON_UNIT)).ljust(256, b"\0"))
 
 
 @dataclass(frozen=True)
@@ -90,7 +107,14 @@ class FieldClass:
     def subgroup(self) -> tuple[int, ...]:
         """The index-3 splitting subgroup ker chi of (Z/c)*, ascending.  Not
         cached: it has phi(c)/3 elements, and the key (conductor, character)
-        does not need it; past SUBGROUP_MAX of them it raises SizeLimitError.
+        does not need it; past SUBGROUP_MAX of them it raises
+        SizeLimitError."""
+        return tuple(compress(range(self.conductor), self._kernel_mask()))
+
+    def _kernel_mask(self) -> bytes:
+        """Byte x is 1 when x is in ker chi and 0 otherwise, for x in [0, c).
+        It makes subgroup's checks and refusal; identify streams ker chi from
+        it without building the tuple.
 
         Labels mod m and mod p, repeated p and m times, sit side by side
         over [0, m p): position x reads the labels of x mod m and x mod p,
@@ -108,8 +132,7 @@ class FieldClass:
             total = (int.from_bytes(labels * p, "little")
                      + e * int.from_bytes(_cube_labels(p) * m, "little"))
             labels = total.to_bytes(m * p, "little").translate(_LABEL_OF_SUM)
-        return tuple(compress(range(self.conductor),
-                              labels.translate(_IS_KERNEL)))
+        return labels.translate(_IS_KERNEL)
 
     def __str__(self) -> str:
         return f"K_{self.discriminant}"

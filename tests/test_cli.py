@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from cubictrace.arith import FACTOR_LIMIT
 from cubictrace.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_USAGE, main
 from cubictrace.eisenstein import ORACLE_LIMIT, ideal_count, series_coeff
 from cubictrace.enumeration import enumerate_field
-from cubictrace.fields import SUBGROUP_MAX, field_invariants
+from cubictrace.fields import SUBGROUP_MAX, FieldClass, field_invariants
 from cubictrace.padic import InconsistencyError
 from cubictrace.poly import is_irreducible, parse_poly
 
@@ -22,6 +23,8 @@ K49_POLY = "t^3 - t^2 - 2t + 1"
 K169_POLY = "t^3 - t^2 - 4t - 1"
 # conductor 30013: identify writes its 10004 residues in three slices
 SLICED_POLY = "-10004,264559"
+# conductor 2999911, character (1,): 999970 residues, just under SUBGROUP_MAX
+EDGE_POLY = "-999970,-148217825"
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
@@ -45,6 +48,24 @@ def spawn(*argv):
     return subprocess.Popen([sys.executable, "-m", "cubictrace.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=spawn_env())
+
+
+def peak_child(argv, stdout) -> tuple[bytes, int]:
+    """The CLI on argv in a fresh interpreter: its stdout, and its peak RSS
+    in kB as the child reads it.  That is VmHWM, the peak of the child's own
+    image: getrusage's ru_maxrss also counts the pytest process it was
+    forked from."""
+    script = ("import re, sys\n"
+              "from cubictrace.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "sys.stdout.flush()\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1], file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=spawn_env(), timeout=120)
+    assert proc.returncode == 0
+    return proc.stdout, int(proc.stderr)
 
 
 class TestIdentify:
@@ -84,6 +105,38 @@ class TestIdentify:
         sub = field_invariants(parse_poly(SLICED_POLY)).subgroup
         assert code == 0 and len(sub) == 10004
         assert out.endswith(f"splitting subgroup:  {list(sub)} (mod 30013)\n")
+
+    def test_golden_digest(self, capsys):
+        # sha256 of exit code and stdout of identify, json and text, on 30
+        # bench cubics with 1, 2 and 3 primes in their conductors (up to
+        # 84787), pinned from the build that joined str(x) for each residue
+        digest = hashlib.sha256()
+        cubics = inputs.identify_inputs(0)[:30]
+        assert max(c for _a, _b, c in cubics) == 84787
+        for a, b, _c in cubics:
+            for fmt in ("json", "text"):
+                code, out, _ = run(capsys, "identify", f"--poly={a},{b}",
+                                   "--format", fmt)
+                digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "f0d467bcbf3841c315159a7708d2f1ae180c7d1a12ea457a0875d14ecaf9be6b")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_streams_the_kernel_in_bounded_memory(self, fmt):
+        # c = 2999911, phi(c)/3 = 999970 residues, just under SUBGROUP_MAX:
+        # the tuple of them peaked at 67 MB; the mask and a slice need < 48
+        out, peak_kb = peak_child(["identify", "--poly", EDGE_POLY,
+                                   "--format", fmt], subprocess.PIPE)
+        sub = FieldClass(2999911, (1,)).subgroup
+        assert len(sub) == 999970 <= SUBGROUP_MAX
+        if fmt == "json":
+            assert out.endswith(("[\n    " + ",\n    ".join(map(str, sub))
+                                 + "\n  ]\n}\n").encode())
+        else:
+            assert out.endswith(("splitting subgroup:  ["
+                                 + ", ".join(map(str, sub))
+                                 + "] (mod 2999911)\n").encode())
+        assert peak_kb < 48 * 1024
 
     def test_reducible_exits_3(self, capsys):
         code, _, err = run(capsys, "identify", "--poly", "t^3 - t^2")
@@ -250,21 +303,9 @@ class TestZetaCoeffs:
 
     @staticmethod
     def json_child(m: int, stdout) -> tuple[bytes, int]:
-        """zeta-coeffs --max m --format json in a fresh interpreter: its
-        stdout, and its peak RSS in kB as the child reads it.  That is
-        VmHWM, the peak of the child's own image: getrusage's ru_maxrss
-        also counts the pytest process it was forked from."""
-        script = ("import re, sys\n"
-                  "from cubictrace.cli import main\n"
-                  "code = main(['zeta-coeffs', '--max', sys.argv[1], '--format', 'json'])\n"
-                  "sys.stdout.flush()\n"
-                  "with open('/proc/self/status') as fh:\n"
-                  "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1], file=sys.stderr)\n"
-                  "sys.exit(code)\n")
-        proc = subprocess.run([sys.executable, "-c", script, str(m)], stdout=stdout,
-                              stderr=subprocess.PIPE, env=spawn_env(), timeout=120)
-        assert proc.returncode == 0
-        return proc.stdout, int(proc.stderr)
+        """zeta-coeffs --max m --format json in a fresh interpreter."""
+        return peak_child(["zeta-coeffs", "--max", str(m), "--format", "json"],
+                          stdout)
 
     def test_json_streams_in_bounded_memory(self):
         out, _ = self.json_child(300, subprocess.PIPE)

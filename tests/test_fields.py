@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import random
 
 import inputs
 import pytest
@@ -254,6 +255,30 @@ class TestFieldClass:
             assert len(labels) == p and labels[0] not in (0, 1, 2), p
             assert all(pow(x, e, p) == pow(w, labels[x], p)
                        for x in range(1, p)), p
+
+    @pytest.mark.parametrize("p, g", [
+        (7, 3), (13, 2),  # the walk takes one step and two steps
+        (71761, 44), (55441, 38), (97441, 37), (63361, 37), (51361, 37),
+    ])
+    def test_cube_labels_where_slices_wrap_most(self, p, g):
+        # x -> g x takes g slices; below 10^5 these primes have the largest
+        # least primitive roots
+        assert fields._primitive_root(p) == g
+        w, e = omega_mod_pi(p), (p - 1) // 3
+        labels = _cube_labels(p)
+        assert len(labels) == p and labels[0] == fields._NON_UNIT
+        assert all(pow(x, e, p) == pow(w, labels[x], p) for x in range(1, p))
+
+    @pytest.mark.parametrize("p", [99991, 1000003])
+    def test_cube_labels_of_large_primes(self, p):
+        # each coset of the cubes has (p - 1)/3 elements; a sample of x
+        # against Euler's criterion
+        w, e = omega_mod_pi(p), (p - 1) // 3
+        labels = _cube_labels(p)
+        assert len(labels) == p and labels[0] == fields._NON_UNIT
+        assert [labels.count(k) for k in (0, 1, 2)] == [e] * 3
+        for x in random.Random(p).sample(range(1, p), 3000):
+            assert pow(x, e, p) == pow(w, labels[x], p), x
 
     def test_subgroup_is_kernel_by_euler_criterion(self):
         # every admissible (c, chi) with c <= 3000: c squarefree, its primes
