@@ -9,7 +9,7 @@ import json
 import os
 import re
 import sys
-from itertools import compress, islice
+from itertools import compress
 
 from .eisenstein import ideal_count, ideal_count_oracle
 from .enumeration import classified_polys_for_a, enumerate_field
@@ -39,29 +39,32 @@ def _field_of(text: str) -> tuple[TraceOnePoly, FieldClass]:
         raise ValueError(f"{f} is {why}") from None
 
 
-_SLICE = 4096  # items per write in _write_joined
+_LOW = tuple(map(str, range(1000)))  # str(x) for x < 1000
+_PADDED = tuple("%03d" % r for r in range(1000))  # x % 1000 in three digits
 
 
-def _write_joined(items, sep: str) -> None:
-    """Write the ints of the iterable items, sep between them, to stdout a
-    slice of _SLICE items at a time, so memory stays bounded by the slice,
-    not by the output.  One %-format renders a slice, sep before each item;
-    it beats repr(list) then str.replace, and sep.join(map(str, ...))."""
-    write, fmt = sys.stdout.write, sep + "%d"
-    skip = len(sep)  # no sep before the first item
-    while chunk := tuple(islice(items, _SLICE)):
-        write((fmt * len(chunk) % chunk)[skip:])
-        skip = 0
+def _write_kernel(mask: bytes, sep: str) -> None:
+    """Write the x with mask[x] set, ascending with sep between them, to
+    stdout one block of 1000 residues at a time, so memory stays bounded by
+    a block, not by the output.  In block t >= 1, x is str(t) then x % 1000
+    in three digits, so a block joins prebuilt strings, with sep + str(t)
+    as the joiner, and no int is made for a residue, printed or not."""
+    write, skip = sys.stdout.write, len(sep)  # no sep before the first x
+    lead, digits = sep, _LOW
+    for t in range(-(-len(mask) // 1000)):
+        if block := lead.join(compress(digits, mask[1000 * t:1000 * t + 1000])):
+            write(lead[skip:] + block)
+            skip = 0
+        lead, digits = f"{sep}{t + 1}", _PADDED
 
 
 def cmd_identify(args) -> int:
     f, k = _field_of(args.poly)
-    mask = k._kernel_mask()  # may refuse, so before any output
-    sub = compress(range(k.conductor), mask)  # ker chi, ascending
+    mask = k._kernel_mask()  # ker chi; may refuse, so before any output
     disc = discriminant(f)
     index_sq = disc // k.discriminant
     if args.format == "json":
-        # json.dumps(indent=2)'s layout, with the phi(c)/3 residues in slices
+        # json.dumps(indent=2)'s layout, the phi(c)/3 residues in blocks
         head = json.dumps({
             "polynomial": str(f), "a": f.a, "b": f.b,
             "irreducible": True, "cyclic": True,
@@ -70,7 +73,7 @@ def cmd_identify(args) -> int:
             "tame": True,
         }, indent=2)[:-2]
         sys.stdout.write(f'{head},\n  "subgroup": [\n    ')
-        _write_joined(sub, ",\n    ")
+        _write_kernel(mask, ",\n    ")
         sys.stdout.write("\n  ]\n}\n")
         return EXIT_OK
     print(f"polynomial:          {f}")
@@ -81,8 +84,8 @@ def cmd_identify(args) -> int:
     print(f"conductor:           {k.conductor}")
     print(f"field discriminant:  {k.discriminant}")
     print("tame:                true")
-    sys.stdout.write("splitting subgroup:  [")  # list(sub)'s repr
-    _write_joined(sub, ", ")
+    sys.stdout.write("splitting subgroup:  [")  # list(ker chi)'s repr
+    _write_kernel(mask, ", ")
     print(f"] (mod {k.conductor})")
     return EXIT_OK
 

@@ -113,8 +113,8 @@ class FieldClass:
 
     def _kernel_mask(self) -> bytes:
         """Byte x is 1 when x is in ker chi and 0 otherwise, for x in [0, c).
-        It makes subgroup's checks and refusal; identify streams ker chi from
-        it without building the tuple.
+        It makes subgroup's checks and refusal; identify renders ker chi
+        from it one block of 1000 bytes at a time, without the tuple.
 
         Labels mod m and mod p, repeated p and m times, sit side by side
         over [0, m p): position x reads the labels of x mod m and x mod p,

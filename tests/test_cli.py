@@ -5,9 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from itertools import compress
 
 import inputs
 import pytest
+from hypothesis import given, strategies as st
 
 from cubictrace import cli, eisenstein, enumeration
 from cubictrace.arith import FACTOR_LIMIT
@@ -21,7 +24,7 @@ from cubictrace.poly import is_irreducible, parse_poly
 IDENTIFY_INPUT = inputs.identify_inputs(0)[0]  # (a, b, conductor)
 K49_POLY = "t^3 - t^2 - 2t + 1"
 K169_POLY = "t^3 - t^2 - 4t - 1"
-# conductor 30013: identify writes its 10004 residues in three slices
+# conductor 30013: identify writes its 10004 residues in 31 blocks
 SLICED_POLY = "-10004,264559"
 # conductor 2999911, character (1,): 999970 residues, just under SUBGROUP_MAX
 EDGE_POLY = "-999970,-148217825"
@@ -177,6 +180,68 @@ class TestIdentify:
         assert code == 0
         assert out == run(capsys, "identify", "--poly", K49_POLY)[1]
         assert run(capsys, "identify", "--poly", "-2,x")[0] == 3
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_writes_the_kernel_a_block_at_a_time(self, monkeypatch, fmt):
+        # c = 30013: 10004 residues in 31 blocks; each write holds at most
+        # one block, so the output is never built as one string
+        class Writes(list):  # a stdout that keeps each write
+            write = list.append
+
+            def flush(self):
+                pass
+
+        writes = Writes()
+        monkeypatch.setattr(sys, "stdout", writes)
+        assert main(["identify", "--poly", SLICED_POLY, "--format", fmt]) == 0
+        out = "".join(writes)
+        sub = field_invariants(parse_poly(SLICED_POLY)).subgroup
+        sep = ",\n    " if fmt == "json" else ", "
+        if fmt == "json":
+            data = json.loads(out)
+            assert data["subgroup"] == list(sub)
+            assert out == json.dumps(data, indent=2) + "\n"
+        else:
+            assert out.endswith(f"splitting subgroup:  {list(sub)} (mod 30013)\n")
+        assert max(map(len, writes)) <= 1000 * (len(sep) + 5)
+
+
+def assert_renders(mask: bytes, sep: str) -> None:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        cli._write_kernel(mask, sep)
+    assert buf.getvalue() == sep.join(map(str, compress(range(len(mask)), mask)))
+
+
+def kernel_masks():
+    """Masks at and around the block edges of _write_kernel."""
+    for n in (1, 7, 999, 1000, 1001, 1999, 2000, 2001, 10001, 100001):
+        yield pytest.param(bytes(n), id=f"zeros-{n}")
+        yield pytest.param(b"\1" * n, id=f"ones-{n}")
+        yield pytest.param(b"\1" + bytes(n - 1), id=f"first-{n}")
+        yield pytest.param(bytes(n - 1) + b"\1", id=f"last-{n}")
+        if n > 1000:  # block 0 empty, so 1 is not in the set
+            yield pytest.param(bytes(1000) + b"\1" * (n - 1000),
+                               id=f"no-block-0-{n}")
+        if n > 2000:  # block 1 empty between two full ones
+            yield pytest.param(b"\1" * 1000 + bytes(1000) + b"\1" * (n - 2000),
+                               id=f"no-block-1-{n}")
+
+
+SEPS = pytest.mark.parametrize("sep", [", ", ",\n    "], ids=["text", "json"])
+
+
+class TestWriteKernel:
+    @SEPS
+    @pytest.mark.parametrize("mask", kernel_masks())
+    def test_block_edges(self, mask, sep):
+        assert_renders(mask, sep)
+
+    @SEPS
+    @given(st.lists(st.tuples(st.integers(0, 1500), st.booleans())))
+    def test_drawn_mask(self, sep, runs):
+        # runs of 0s and 1s, so that blocks are full, empty or cut
+        assert_renders(b"".join(bytes([bit]) * n for n, bit in runs), sep)
 
 
 class TestEnumerate:
