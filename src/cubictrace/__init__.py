@@ -8,8 +8,8 @@ from .eisenstein import (formula3_count, ideal_count, ideal_count_oracle,
 from .enumeration import (EnumerationRow, b_range, enumerate_all,
                           enumerate_field, min_height)
 from .fields import FieldClass, conductor_of, field_invariants, is_isomorphic
-from .padic import (SplittingType, dedekind_index_test, lift_root_unramified,
-                    lift_root_zp, roots_mod_p, splitting_type, valuation)
+from .padic import (SplittingType, dedekind_index_test, roots_mod_p,
+                    splitting_type, valuation)
 from .poly import (ParseError, TraceOnePoly, discriminant, height_sq,
                    is_cyclic, is_irreducible, parse_poly)
 from .verify import (VerificationReport, formula3_divergences,
@@ -25,8 +25,8 @@ __all__ = [
     "EnumerationRow", "b_range", "enumerate_all", "enumerate_field",
     "min_height",
     "FieldClass", "conductor_of", "field_invariants", "is_isomorphic",
-    "SplittingType", "dedekind_index_test", "lift_root_unramified",
-    "lift_root_zp", "roots_mod_p", "splitting_type", "valuation",
+    "SplittingType", "dedekind_index_test", "roots_mod_p", "splitting_type",
+    "valuation",
     "ParseError", "TraceOnePoly", "discriminant", "height_sq", "is_cyclic",
     "is_irreducible", "parse_poly",
     "VerificationReport", "formula3_divergences",

@@ -41,22 +41,29 @@ _IS_KERNEL = bytes([1]) + bytes(255)
 SUBGROUP_MAX = 10**6
 
 
+def _cube_label(x: int, p: int) -> int:
+    """k where (x/pi)_3 = w^k, for x prime to p: x^((p-1)/3) = w^k mod pi,
+    for pi = x_pi + y_pi w = _cornacchia(p), so w = -x_pi / y_pi mod p."""
+    r = pow(x, (p - 1) // 3, p)
+    if r == 1:
+        return 0
+    x_pi, y_pi = _cornacchia(p)
+    return 1 if r == -x_pi * pow(y_pi, -1, p) % p else 2
+
+
 def _cube_labels(p: int) -> bytes:
-    """Byte x holds k where (x/pi)_3 = w^k, that is x^((p-1)/3) = w^k mod
-    pi, for pi = x_pi + y_pi w = _cornacchia(p), so w = -x_pi / y_pi mod p;
-    byte 0 holds _NON_UNIT.
+    """Byte x holds _cube_label(x, p); byte 0 holds _NON_UNIT.
 
     For the least primitive root g, three facts:
     - -1 = g^((p-1)/2) lies in the cubes H = <g^3>, since 6 | p - 1; so
       the walk over g^(3i), i < (p-1)/6, reaches half of H, and x -> p - x
       (the bytes read backwards) the other half;
     - the units are the cosets H, gH and g^2 H, labelled 0, label_g and
-      2 label_g mod 3, where label_g = 1 if g^((p-1)/3) = w, else 2;
+      2 label_g mod 3, where label_g = _cube_label(g, p) is not 0;
     - x -> g x mod p, which takes H to gH, is g strided slices: for k < g,
       the x in [kp/g, (k+1)p/g) land at g x - kp with step g."""
-    x, y = _cornacchia(p)
     g = _primitive_root(p)
-    label_g = 1 if pow(g, (p - 1) // 3, p) == -x * pow(y, -1, p) % p else 2
+    label_g = _cube_label(g, p)
     half = bytearray(p)
     u, g3 = 1, pow(g, 3, p)
     for _ in range((p - 1) // 6):

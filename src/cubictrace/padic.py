@@ -1,8 +1,8 @@
 """Local analysis of a trace-one cubic at a prime p.
 
-Root finding mod p, Hensel-style lifting in Z_p and in the unramified
-cubic extension W of Z_p, the three-way splitting classification, and
-Dedekind's index-divisor criterion as an independent cross-check.
+Root finding mod p, the three-way splitting classification read off the
+field key, and Dedekind's index-divisor criterion as an independent
+cross-check.
 
 Polynomials over F_p are represented as tuples of coefficients in
 ascending degree order with no trailing zeros.
@@ -13,8 +13,9 @@ from __future__ import annotations
 import enum
 import itertools
 
-from .arith import InconsistencyError
-from .poly import TraceOnePoly, discriminant, is_cyclic
+from .arith import is_prime
+from .fields import _cube_label, check_key, field_invariants
+from .poly import TraceOnePoly
 
 _BRUTE_FORCE_PRIME = 1024
 
@@ -26,6 +27,8 @@ class SplittingType(enum.Enum):
 
 
 def valuation(n: int, p: int) -> int:
+    if p < 2:
+        raise ValueError(f"valuation at {p} is undefined")
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     v = 0
@@ -143,102 +146,22 @@ def roots_mod_p(f: TraceOnePoly, p: int) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# Lifting in Z_p and in the unramified cubic extension W of Z_p
-
-def _shift_scale(coeffs, r: int, p: int):
-    """G(r + p*y) for a degree <= 3 integer polynomial G, coefficients in y."""
-    c = list(coeffs) + [0] * (4 - len(coeffs))
-    c0, c1, c2, c3 = c[:4]
-    a0 = ((c3 * r + c2) * r + c1) * r + c0
-    a1 = (3 * c3 * r + 2 * c2) * r + c1
-    a2 = 3 * c3 * r + c2
-    return [a0, a1 * p, a2 * p * p, c3 * p**3]
-
-
-def _has_root(coeffs, p: int, depth: int, unramified: bool) -> bool:
-    """Whether the integer polynomial (degree <= 3) has a root in Z_p or,
-    if `unramified`, in W, the unramified cubic extension ring of Z_p.
-
-    The residue field of W is F_{p^3}, which contains no quadratic
-    subextension, so a residue root is either in F_p or generates the whole
-    cubic residue field; the latter happens exactly when the reduction has an
-    irreducible cubic factor (then Hensel factor lifting certifies a root).
-    Simple F_p residue roots lift by Hensel; multiple ones recurse on the
-    shifted, rescaled polynomial.  Cosets of roots are never enumerated.
-    """
-    if depth < 0:
-        raise InconsistencyError("p-adic root search exceeded depth budget")
-    cbar = _pnorm(coeffs, p)
-    roots = _fp_roots(cbar, p)
-    if unramified and len(cbar) - 1 == 3 and not roots:
-        return True  # irreducible cubic reduction: roots generate W
-    multiple = []
-    for r in sorted(roots):
-        shifted = _shift_scale(coeffs, r, p)  # [G(r), G'(r) p, ...]
-        if shifted[1] % (p * p):
-            return True  # simple residue root lifts into Z_p, hence into W
-        multiple.append(shifted)
-    for shifted in multiple:
-        mu = min(valuation(c, p) for c in shifted if c)
-        reduced = [c // p**mu for c in shifted]
-        if _has_root(reduced, p, depth - mu, unramified):
-            return True
-    return False
-
-
-def _lift(f: TraceOnePoly, p: int, unramified: bool) -> bool:
-    disc = discriminant(f)
-    if disc == 0:
-        raise ValueError("discriminant is zero: p-adic valuation is infinite")
-    return _has_root([f.b, f.a, -1, 1], p, valuation(disc, p) + 4, unramified)
-
-
-def lift_root_zp(f: TraceOnePoly, p: int) -> bool:
-    """Whether f has a root in Z_p.
-
-    Decided by recursive residue analysis (see _has_root) on the F_p roots:
-    a multiple residue root r is followed into f(r + p*y), never by
-    enumerating the p lifts of r, so large index primes cost no memory.
-    """
-    return _lift(f, p, unramified=False)
-
-
-def lift_root_unramified(f: TraceOnePoly, p: int) -> bool:
-    """Whether f has a root in the degree-3 unramified extension ring W of Z_p.
-
-    Decided by recursive residue analysis (see _has_root): the
-    root sets of f modulo p^k in W can contain entire cosets of size p^3 and
-    larger, so they are handled symbolically instead of being enumerated.
-    """
-    return _lift(f, p, unramified=True)
-
-
-# ---------------------------------------------------------------------------
 # Classification
 
 def splitting_type(f: TraceOnePoly, p: int) -> SplittingType:
-    """Split / Inert / Ramified behavior of p in the root field of f.
-
-    Robust to index divisors: when p | disc(f), the decision is made by root
-    lifting in Z_p and in the unramified cubic extension, never from the
-    factorization of f mod p alone.
-    """
-    if not is_cyclic(f):
-        raise ValueError(f"{f} is not cyclic")
-    disc = discriminant(f)
-    if disc % p != 0:
-        n = len(roots_mod_p(f, p))
-        if n == 3:
-            return SplittingType.SPLIT
-        if n == 0:
-            return SplittingType.INERT
-        raise InconsistencyError(
-            f"{n} roots mod {p} for square-discriminant cubic {f}")
-    if lift_root_zp(f, p):
-        return SplittingType.SPLIT
-    if lift_root_unramified(f, p):
-        return SplittingType.INERT
-    return SplittingType.RAMIFIED
+    """Split / Inert / Ramified behavior of the prime p in the root field of
+    f, read off its key (c, chi).  By class field theory (Washington,
+    Cyclotomic Fields, ch. 3) p ramifies iff p | c, and otherwise splits iff
+    chi(p) = 1: no root of f is counted or lifted, so index divisors of
+    Z[theta] need no special case."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    k = field_invariants(f)
+    if k.conductor % p == 0:
+        return SplittingType.RAMIFIED
+    label = sum(e * _cube_label(p, q)
+                for q, e in zip(check_key(k), k.character))
+    return SplittingType.INERT if label % 3 else SplittingType.SPLIT
 
 
 def dedekind_index_test(f: TraceOnePoly, p: int) -> bool:

@@ -4,13 +4,13 @@ against."""
 import itertools
 import math
 
-from cubictrace.arith import factorize, is_prime
+from cubictrace.arith import InconsistencyError, factorize, is_prime
 from cubictrace.eisenstein import _cornacchia
 from cubictrace.enumeration import b_range
 from cubictrace.fields import FieldClass
-from cubictrace.padic import (InconsistencyError, SplittingType, roots_mod_p,
-                              splitting_type, valuation)
-from cubictrace.poly import discriminant, is_cyclic
+from cubictrace.padic import (SplittingType, _fp_roots, _pnorm, roots_mod_p,
+                              valuation)
+from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic
 
 # disc(b) can be a square only where it is a square mod 8 * 9 * 5 * 7, and
 # that depends only on b mod the same number.
@@ -96,6 +96,102 @@ def subgroup_closure(c: int, generators) -> set[int]:
     return closure
 
 
+# ---------------------------------------------------------------------------
+# Lifting in Z_p and in the unramified cubic extension W of Z_p
+
+def _shift_scale(coeffs, r: int, p: int):
+    """G(r + p*y) for a degree <= 3 integer polynomial G, coefficients in y."""
+    c = list(coeffs) + [0] * (4 - len(coeffs))
+    c0, c1, c2, c3 = c[:4]
+    a0 = ((c3 * r + c2) * r + c1) * r + c0
+    a1 = (3 * c3 * r + 2 * c2) * r + c1
+    a2 = 3 * c3 * r + c2
+    return [a0, a1 * p, a2 * p * p, c3 * p**3]
+
+
+def _has_root(coeffs, p: int, depth: int, unramified: bool) -> bool:
+    """Whether the integer polynomial (degree <= 3) has a root in Z_p or,
+    if `unramified`, in W, the unramified cubic extension ring of Z_p.
+
+    The residue field of W is F_{p^3}, which contains no quadratic
+    subextension, so a residue root is either in F_p or generates the whole
+    cubic residue field; the latter happens exactly when the reduction has an
+    irreducible cubic factor (then Hensel factor lifting certifies a root).
+    Simple F_p residue roots lift by Hensel; multiple ones recurse on the
+    shifted, rescaled polynomial.  Cosets of roots are never enumerated.
+    """
+    if depth < 0:
+        raise InconsistencyError("p-adic root search exceeded depth budget")
+    cbar = _pnorm(coeffs, p)
+    roots = _fp_roots(cbar, p)
+    if unramified and len(cbar) - 1 == 3 and not roots:
+        return True  # irreducible cubic reduction: roots generate W
+    multiple = []
+    for r in sorted(roots):
+        shifted = _shift_scale(coeffs, r, p)  # [G(r), G'(r) p, ...]
+        if shifted[1] % (p * p):
+            return True  # simple residue root lifts into Z_p, hence into W
+        multiple.append(shifted)
+    for shifted in multiple:
+        mu = min(valuation(c, p) for c in shifted if c)
+        reduced = [c // p**mu for c in shifted]
+        if _has_root(reduced, p, depth - mu, unramified):
+            return True
+    return False
+
+
+def _lift(f: TraceOnePoly, p: int, unramified: bool) -> bool:
+    disc = discriminant(f)
+    if disc == 0:
+        raise ValueError("discriminant is zero: p-adic valuation is infinite")
+    return _has_root([f.b, f.a, -1, 1], p, valuation(disc, p) + 4, unramified)
+
+
+def lift_root_zp(f: TraceOnePoly, p: int) -> bool:
+    """Whether f has a root in Z_p.
+
+    Decided by recursive residue analysis (see _has_root) on the F_p roots:
+    a multiple residue root r is followed into f(r + p*y), never by
+    enumerating the p lifts of r, so large index primes cost no memory.
+    """
+    return _lift(f, p, unramified=False)
+
+
+def lift_root_unramified(f: TraceOnePoly, p: int) -> bool:
+    """Whether f has a root in the degree-3 unramified extension ring W of Z_p.
+
+    Decided by recursive residue analysis (see _has_root): the
+    root sets of f modulo p^k in W can contain entire cosets of size p^3 and
+    larger, so they are handled symbolically instead of being enumerated.
+    """
+    return _lift(f, p, unramified=True)
+
+
+def splitting_type_padic(f: TraceOnePoly, p: int) -> SplittingType:
+    """Split / Inert / Ramified behavior of p in the root field of f.
+
+    Robust to index divisors: when p | disc(f), the decision is made by root
+    lifting in Z_p and in the unramified cubic extension, never from the
+    factorization of f mod p alone.
+    """
+    if not is_cyclic(f):
+        raise ValueError(f"{f} is not cyclic")
+    disc = discriminant(f)
+    if disc % p != 0:
+        n = len(roots_mod_p(f, p))
+        if n == 3:
+            return SplittingType.SPLIT
+        if n == 0:
+            return SplittingType.INERT
+        raise InconsistencyError(
+            f"{n} roots mod {p} for square-discriminant cubic {f}")
+    if lift_root_zp(f, p):
+        return SplittingType.SPLIT
+    if lift_root_unramified(f, p):
+        return SplittingType.INERT
+    return SplittingType.RAMIFIED
+
+
 def split_prime_closure(f, c: int) -> set[int]:
     """The splitting subgroup of f mod its conductor c: the closure of the
     residues of split primes, taken in increasing order until it has index 3
@@ -105,7 +201,7 @@ def split_prime_closure(f, c: int) -> set[int]:
     for p in primes():
         if c % p == 0:
             continue
-        kind = splitting_type(f, p)
+        kind = splitting_type_padic(f, p)
         assert kind is not SplittingType.RAMIFIED, (f, p)
         if kind is SplittingType.INERT:
             inert.add(p % c)
@@ -120,13 +216,13 @@ def split_prime_closure(f, c: int) -> set[int]:
 
 def conductor_padic(f) -> int:
     """Conductor as the product of the primes of sqrt(disc f) that
-    splitting_type, by root lifting in Z_p and in the unramified cubic
+    splitting_type_padic, by root lifting in Z_p and in the unramified cubic
     extension, finds ramified."""
     if not is_cyclic(f):
         raise ValueError(f"{f} is not cyclic")
     c = 1
     for p, _e in factorize(math.isqrt(discriminant(f))):
-        if splitting_type(f, p) is SplittingType.RAMIFIED:
+        if splitting_type_padic(f, p) is SplittingType.RAMIFIED:
             if p == 3 or p % 3 != 1:
                 raise InconsistencyError(
                     f"ramified prime {p} of {f} is not 1 mod 3 (wild or misclassified)")
@@ -155,11 +251,11 @@ def cubic_character(f, conductor: int | None = None,
     in the normalization of `FieldClass`, by a search over primes.
 
     A prime q not dividing c splits exactly when sum e_i _index(q, p_i) = 0
-    mod 3.  Primes are classified by splitting_type in increasing order and
-    each one filters the 2^(k-1) candidates; the search stops once a single
-    candidate is left and at least one prime has split.  A ramified q, or a
-    prime no candidate matches, is an inconsistency; running past max_prime
-    is a RuntimeError.
+    mod 3.  Primes are classified by splitting_type_padic in increasing
+    order and each one filters the 2^(k-1) candidates; the search stops once
+    a single candidate is left and at least one prime has split.  A ramified
+    q, or a prime no candidate matches, is an inconsistency; running past
+    max_prime is a RuntimeError.
     """
     c = conductor_padic(f) if conductor is None else conductor
     fac = list(factorize(c))
@@ -179,7 +275,7 @@ def cubic_character(f, conductor: int | None = None,
                 f"{len(candidates)} candidate characters left)")
         if c % q == 0:
             continue
-        kind = splitting_type(f, q)
+        kind = splitting_type_padic(f, q)
         if kind is SplittingType.RAMIFIED:
             raise InconsistencyError(f"{q} ramified but coprime to conductor {c}")
         split = kind is SplittingType.SPLIT

@@ -18,7 +18,7 @@ from cubictrace.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_USAGE, main
 from cubictrace.eisenstein import ORACLE_LIMIT, ideal_count, series_coeff
 from cubictrace.enumeration import enumerate_field
 from cubictrace.fields import SUBGROUP_MAX, FieldClass, field_invariants
-from cubictrace.padic import InconsistencyError
+from cubictrace.arith import InconsistencyError
 from cubictrace.poly import is_irreducible, parse_poly
 
 IDENTIFY_INPUT = inputs.identify_inputs(0)[0]  # (a, b, conductor)
@@ -467,7 +467,7 @@ class TestExitPaths:
         script = (
             "import sys\n"
             "from cubictrace import cli\n"
-            "from cubictrace.padic import InconsistencyError\n"
+            "from cubictrace.arith import InconsistencyError\n"
             "def broken(f):\n"
             "    raise InconsistencyError('broken invariant')\n"
             "cli.field_invariants = broken\n"

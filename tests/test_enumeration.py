@@ -11,7 +11,7 @@ from cubictrace.enumeration import (_square_disc_bs, b_range,
                                     classified_polys_for_a, enumerate_all,
                                     enumerate_field, min_height)
 from cubictrace.fields import field_invariants
-from cubictrace.padic import InconsistencyError
+from cubictrace.arith import InconsistencyError
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic
 
 from oracles import square_disc_bs_scan

@@ -8,13 +8,13 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from cubictrace.arith import SizeLimitError, is_prime
+from cubictrace.arith import InconsistencyError, SizeLimitError, is_prime
 from cubictrace.enumeration import (_square_disc_bs, classified_polys_for_a,
                                     enumerate_all, enumerate_field, min_height)
 from cubictrace import fields
 from cubictrace.fields import (FieldClass, _cube_labels, check_key,
                                conductor_of, field_invariants, is_isomorphic)
-from cubictrace.padic import InconsistencyError, valuation
+from cubictrace.padic import valuation
 from cubictrace.poly import TraceOnePoly, discriminant, is_irreducible
 from cubictrace.verify import verify_corollary
 from oracles import (_index, conductor_padic, cubic_character, euler_phi,

@@ -13,7 +13,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 def raises_inconsistency_under_O(body: str) -> bool:
     script = "import sys\nassert sys.flags.optimize\n" + textwrap.dedent(body) + textwrap.dedent("""
-        from cubictrace.padic import InconsistencyError
+        from cubictrace.arith import InconsistencyError
         try:
             run()
         except InconsistencyError:

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
@@ -6,15 +9,33 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.numberfields.basis import round_two
 
 from cubictrace.padic import (_BRUTE_FORCE_PRIME, SplittingType, _fp_roots,
-                              dedekind_index_test, lift_root_unramified,
-                              lift_root_zp, roots_mod_p, splitting_type,
+                              dedekind_index_test, roots_mod_p, splitting_type,
                               valuation)
 from cubictrace.arith import factorize, is_prime
-from cubictrace.enumeration import classified_polys_for_a
+from cubictrace.enumeration import classified_polys_for_a, enumerate_all
 from cubictrace.fields import is_isomorphic
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic, is_irreducible
 
-from oracles import lift_root_zp_bfs
+from oracles import (lift_root_unramified, lift_root_zp, lift_root_zp_bfs,
+                     splitting_type_padic)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def refuses_in_child(call: str) -> bool:
+    """Whether `call` raises ValueError in a fresh interpreter; the run is
+    cut after 30 s, so a call that loops fails instead of hanging."""
+    script = ("from cubictrace.padic import splitting_type, valuation\n"
+              "from cubictrace.poly import TraceOnePoly\n"
+              "f = TraceOnePoly(-2, 1)\n"
+              f"try:\n    {call}\n"
+              "except ValueError:\n    raise SystemExit(0)\n"
+              "raise SystemExit(1)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          timeout=30).returncode == 0
 
 
 class TestValuation:
@@ -27,6 +48,16 @@ class TestValuation:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             valuation(0, 2)
+
+    @pytest.mark.parametrize("p", [0, -2])
+    def test_base_below_two_rejected(self, p):
+        with pytest.raises(ValueError):
+            valuation(12, p)
+
+    @pytest.mark.parametrize("p", [1, -1])
+    def test_unit_base_rejected_not_looped(self, p):
+        # n % 1 == 0 for every n: without the check the loop never ends
+        assert refuses_in_child(f"valuation(12, {p})")
 
 
 class TestRootsModP:
@@ -178,6 +209,37 @@ class TestSplittingType:
     def test_rejects_noncyclic(self):
         with pytest.raises(ValueError):
             splitting_type(TraceOnePoly(-2, 2), 5)
+
+    @pytest.mark.parametrize("p", [0, -7, 4, 49, 91])
+    def test_rejects_non_primes(self, p):
+        with pytest.raises(ValueError):
+            splitting_type(TraceOnePoly(-2, 1), p)
+
+    @pytest.mark.parametrize("p", [1, -1])
+    def test_rejects_units_not_looped(self, p):
+        assert refuses_in_child(f"splitting_type(f, {p})")
+
+    def test_matches_lifting_oracle(self):
+        # The key's answer against root counting and lifting: the first
+        # cubic of every class with a >= -2000 at each prime below 100 and
+        # each prime of its discriminant, a few cubics at primes above
+        # _BRUTE_FORCE_PRIME (the Cantor-Zassenhaus root finder), and an
+        # index prime far above it.
+        small = [p for p in range(2, 100) if is_prime(p)]
+        large = [p for p in range(_BRUTE_FORCE_PRIME, 1200) if is_prime(p)]
+        firsts = [fs[0] for fs in enumerate_all(-2000).values()]
+        pairs = [(f, p) for f in firsts for p in
+                 {*small, *(q for q, _ in factorize(discriminant(f)))}]
+        pairs += [(f, p) for f in firsts[:10] for p in large]
+        pairs.append((TraceOnePoly(-1000022, 4734241), 285705181))
+        kinds = {"index": 0, **{kind: 0 for kind in SplittingType}}
+        for f, p in pairs:
+            kind = splitting_type(f, p)
+            assert kind is splitting_type_padic(f, p), (f, p)
+            kinds[kind] += 1
+            kinds["index"] += (discriminant(f) % p == 0
+                               and kind is not SplittingType.RAMIFIED)
+        assert min(kinds.values()) > 100, kinds
 
     def test_three_never_ramified(self):
         for a in range(-60, 0):
