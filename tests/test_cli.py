@@ -415,6 +415,34 @@ class TestPaperTables:
         assert "PASS (3/3 checks)" in out
 
 
+K8281_POLY = "-30,-27"  # conductor 91 = 7 * 13
+GOLDEN_ARGV = [
+    *(["enumerate", "--field", poly, "--max-norm", n, *extra]
+      for poly, n in ((K49_POLY, "50"), (K8281_POLY, "20"))
+      for extra in ((), ("--nonzero-only",), ("--format", "csv"),
+                    ("--format", "json"))),
+    *(["count", "--field", poly, "-a", a]
+      for poly in (K49_POLY, K8281_POLY) for a in ("-30", "-23", "-1")),
+    *(["verify", "--field", K49_POLY, "--max-norm", "43", *extra]
+      for extra in ((), ("--format", "json"), ("--check-norms",))),
+    ["paper-tables"], ["paper-tables", "--format", "json"],
+]
+
+
+class TestGoldenOutput:
+    def test_golden_digest(self, capsys):
+        # sha256 of exit code and stdout of every census and verification
+        # command, pinned from the build that filtered the census by field
+        # in enumerate, count and verify_corollary alike
+        digest = hashlib.sha256()
+        for argv in GOLDEN_ARGV:
+            code, out, _ = run(capsys, *argv)
+            digest.update(f"{code}\n{out}".encode())
+        assert len(GOLDEN_ARGV) == 19
+        assert digest.hexdigest() == (
+            "db05d04bb2dc366e46626c632e563bddf230683c3f45a1d6efe618fcce8f90d8")
+
+
 class TestIsomorphic:
     def test_true(self, capsys):
         code, out, _ = run(capsys, "isomorphic", K49_POLY, "t^3-t^2-9t+1")
