@@ -11,12 +11,12 @@ import re
 import sys
 from itertools import compress
 
-from .eisenstein import ideal_count, ideal_count_oracle
-from .enumeration import classified_polys_for_a, enumerate_field
+from .eisenstein import ideal_count_oracle
+from .enumeration import enumerate_field
 from .fields import FieldClass, field_invariants
 from .poly import TraceOnePoly, discriminant, is_irreducible, parse_poly
-from .verify import (_theorem_report, norm_proportionality_check,
-                     reproduce_tables)
+from .verify import (_corollary_check, _table_line, _theorem_report,
+                     norm_proportionality_check, reproduce_tables)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -116,8 +116,7 @@ def cmd_enumerate(args) -> int:
         } for r in rows], indent=2))
     else:
         for r in rows:
-            polys = ", ".join(str(f) for f in sorted(r.polys, key=lambda f: -f.b))
-            print(f"{k.conductor} x {r.n}: {polys}".rstrip())
+            print(_table_line(k.conductor, r.n, r.polys[::-1]))  # b descending
     return EXIT_OK
 
 
@@ -125,13 +124,12 @@ def cmd_count(args) -> int:
     if args.a > 0:
         raise ValueError(f"a must be <= 0, got {args.a}")
     _f, k = _field_of(args.field)
-    c = k.conductor
-    h2 = 1 - 3 * args.a
-    count = sum(1 for _f, kk in classified_polys_for_a(args.a) if kk == k)
-    if h2 % c != 0:
-        print(f"count = {count}  (predicted 0: {c} does not divide {h2})")
+    predicted, count, note = _corollary_check(k, args.a)
+    if note:
+        print(f"count = {count}  (predicted {predicted}: {note})")
     else:
-        print(f"count = {count}  (predicted d_{h2 // c} = {ideal_count(h2 // c)})")
+        n = (1 - 3 * args.a) // k.conductor
+        print(f"count = {count}  (predicted d_{n} = {predicted})")
     return EXIT_OK
 
 
@@ -163,14 +161,15 @@ def cmd_verify(args) -> int:
         for row in rows:
             for f in row.polys:
                 report.checks += norm_proportionality_check(f).checks
-    print(json.dumps(report.to_json(), indent=2) if args.format == "json"
-          else report.to_text())
-    return EXIT_OK if report.overall else EXIT_FAIL
+    return _print_report(report, args.format)
 
 
 def cmd_paper_tables(args) -> int:
-    report = reproduce_tables()
-    print(json.dumps(report.to_json(), indent=2) if args.format == "json"
+    return _print_report(reproduce_tables(), args.format)
+
+
+def _print_report(report, fmt: str) -> int:
+    print(json.dumps(report.to_json(), indent=2) if fmt == "json"
           else report.to_text())
     return EXIT_OK if report.overall else EXIT_FAIL
 

@@ -121,26 +121,23 @@ def _square_disc_alphas(a: int):
     integer.  Since 3 | y, q^2 = 4h^3 - 3y^2 = 4h^3 (mod 27), and
     h^3 = 1 - 9a (mod 27) gives 4h^3 = (9a - 2)^2 (mod 27).  So 27 divides
     (q - (9a - 2)) (q + 9a - 2), and q + 9a - 2 = 2 (mod 3) is a unit mod 27.
-    An alpha off that class raises InconsistencyError instead of being
-    skipped.
+    An alpha off that class, or with 4h^3 - q^2 = 27 disc <= 0 (b outside
+    b_range(a)), raises InconsistencyError instead of being skipped.
     """
-    rng = b_range(a)
-    for (x, y), js in _norm_cube_elements(1 - 3 * a):
-        b, r = divmod(2 * x - y - 9 * a + 2, 27)
+    if a > 0:
+        raise ValueError(f"enumeration requires a <= 0, got a = {a}")
+    h = 1 - 3 * a
+    for (x, y), js in _norm_cube_elements(h):
+        q = 2 * x - y
+        b, r = divmod(q - 9 * a + 2, 27)
         if r:
             raise InconsistencyError(
-                f"alpha = {x} + {y}w of norm (1 - 3a)^3 has q = {2 * x - y} "
+                f"alpha = {x} + {y}w of norm (1 - 3a)^3 has q = {q} "
                 f"!= 9a - 2 (mod 27) at a = {a}")
-        if b not in rng:
+        if q * q >= 4 * h**3:
             raise InconsistencyError(
-                f"b = {b} has a square discriminant but lies outside "
-                f"b_range({a})")
+                f"alpha = {x} + {y}w gives b = {b} with disc <= 0 at a = {a}")
         yield b, js
-
-
-def _square_disc_bs(a: int) -> list[int]:
-    """The b of _square_disc_alphas(a), ascending."""
-    return sorted(b for b, _js in _square_disc_alphas(a))
 
 
 def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...]:
@@ -169,14 +166,18 @@ class EnumerationRow:
         return None if self.a is None else 1 - 3 * self.a
 
 
+def _members(k: FieldClass, a: int) -> tuple[TraceOnePoly, ...]:
+    """The cyclic cubics at a with root field k, ascending in b."""
+    return tuple(f for f, kk in classified_polys_for_a(a) if kk == k)
+
+
 def _row(k: FieldClass, n: int) -> EnumerationRow:
     h2 = k.conductor * n
     predicted = series_coeff(n)
     if (1 - h2) % 3 != 0:
         return EnumerationRow(n, None, (), predicted)
     a = (1 - h2) // 3  # <= 0, since h2 >= 1
-    members = tuple(f for f, kk in classified_polys_for_a(a) if kk == k)
-    return EnumerationRow(n, a, members, predicted)
+    return EnumerationRow(n, a, _members(k, a), predicted)
 
 
 def enumerate_field(k: FieldClass, n_max: int) -> list[EnumerationRow]:

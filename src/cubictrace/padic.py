@@ -141,7 +141,9 @@ def _fp_roots(poly, p: int) -> set[int]:
 
 
 def roots_mod_p(f: TraceOnePoly, p: int) -> set[int]:
-    """All residues r in [0, p) with f(r) = 0 mod p."""
+    """All residues r in [0, p) with f(r) = 0 mod p, for a prime p."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     return _fp_roots((f.b, f.a, -1, 1), p)
 
 

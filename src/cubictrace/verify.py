@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .eisenstein import formula3_count, ideal_count, mod2_part_is_square
-from .enumeration import classified_polys_for_a, enumerate_field
+from .enumeration import _members, _row, enumerate_field
 from .fields import FieldClass, check_key, field_invariants
 from .poly import TraceOnePoly, discriminant, height_sq, is_cyclic
 
@@ -108,18 +108,24 @@ def verify_theorem(k: FieldClass, n_max: int) -> VerificationReport:
     return _theorem_report(k, enumerate_field(k, n_max))
 
 
+def _corollary_check(k: FieldClass, a: int) -> tuple[int, int, str]:
+    """(predicted, count, note) for the cubics at a with root field k: the
+    theorem's row at N = (1-3a)/c when c | 1-3a, else 0 predicted."""
+    h2 = 1 - 3 * a
+    if h2 % k.conductor:
+        return 0, len(_members(k, a)), f"{k.conductor} does not divide {h2}"
+    row = _row(k, h2 // k.conductor)
+    return row.predicted, row.count, ""
+
+
 def verify_corollary(k: FieldClass, a_min: int) -> VerificationReport:
     """Per-a counting: count = d_{(1-3a)/c} when c | 1-3a, else 0."""
+    if a_min > 0:
+        raise ValueError(f"a_min must be <= 0, got {a_min}")
     check_key(k)
     report = VerificationReport(f"corollary[{k}, a>={a_min}]")
-    c = k.conductor
     for a in range(a_min, 1):
-        count = sum(1 for _f, kk in classified_polys_for_a(a) if kk == k)
-        h2 = 1 - 3 * a
-        if h2 % c != 0:
-            report.add(f"a={a}", 0, count, note=f"{c} does not divide {h2}")
-        else:
-            report.add(f"a={a}", ideal_count(h2 // c), count)
+        report.add(f"a={a}", *_corollary_check(k, a))
     return report
 
 
@@ -152,23 +158,10 @@ def formula3_divergences(k: FieldClass, n_max: int) -> list[int]:
             if c.note.startswith("known divergence")]
 
 
-def _field_table_lines(k: FieldClass, n_max: int) -> list[str]:
-    lines = []
-    for row in enumerate_field(k, n_max):
-        if not row.count:
-            continue
-        polys = sorted(row.polys, key=lambda f: -f.b)  # printed order: b descending
-        lines.append(f"{k.conductor} x {row.n}: " + ", ".join(map(str, polys)))
-    return lines
-
-
-def _expected_table_lines(conductor: int, rows) -> list[str]:
-    lines = []
-    for n, bs in rows:
-        a = (1 - conductor * n) // 3
-        polys = ", ".join(str(TraceOnePoly(a, b)) for b in bs)
-        lines.append(f"{conductor} x {n}: {polys}")
-    return lines
+def _table_line(conductor: int, n: int, polys) -> str:
+    """The printed row 'c x N: f, g' of the tables, polys in the order
+    given; a row with none is 'c x N:'."""
+    return f"{conductor} x {n}: {', '.join(map(str, polys))}".rstrip()
 
 
 def _dn_lines(pairs) -> list[str]:
@@ -179,12 +172,16 @@ def reproduce_tables() -> VerificationReport:
     """Regenerate both polynomial tables and the d_N table from scratch and
     compare byte-exactly against the embedded transcriptions."""
     report = VerificationReport("paper-tables")
-    k49 = field_invariants(TraceOnePoly(-2, 1))
-    k169 = field_invariants(TraceOnePoly(-4, -1))
-    report.add("K_49 table", "\n".join(_expected_table_lines(7, K49_TABLE_ROWS)),
-               "\n".join(_field_table_lines(k49, 43)))
-    report.add("K_169 table", "\n".join(_expected_table_lines(13, K169_TABLE_ROWS)),
-               "\n".join(_field_table_lines(k169, 43)))
+    for name, c, rows, f in (("K_49", 7, K49_TABLE_ROWS, TraceOnePoly(-2, 1)),
+                             ("K_169", 13, K169_TABLE_ROWS, TraceOnePoly(-4, -1))):
+        # as transcribed, unsorted, so a misordered row fails the comparison
+        expected = [_table_line(c, n, [TraceOnePoly((1 - c * n) // 3, b) for b in bs])
+                    for n, bs in rows]
+        k = field_invariants(f)
+        # row.polys ascend in b; the tables print b descending
+        generated = [_table_line(k.conductor, row.n, row.polys[::-1])
+                     for row in enumerate_field(k, 43) if row.count]
+        report.add(f"{name} table", "\n".join(expected), "\n".join(generated))
     generated = [(n, d) for n in range(1, 98, 3) if (d := ideal_count(n))]
     report.add("d_N table", "\n".join(_dn_lines(DN_TABLE)),
                "\n".join(_dn_lines(generated)))

@@ -6,7 +6,7 @@ import math
 
 from cubictrace.arith import InconsistencyError, factorize, is_prime
 from cubictrace.eisenstein import _cornacchia
-from cubictrace.enumeration import b_range
+from cubictrace.enumeration import _square_disc_alphas, b_range
 from cubictrace.fields import FieldClass
 from cubictrace.padic import (SplittingType, _fp_roots, _pnorm, roots_mod_p,
                               valuation)
@@ -293,6 +293,12 @@ def field_class_oracle(f):
     nothing with the valuations of alpha."""
     c = conductor_padic(f)
     return FieldClass(c, cubic_character(f, c))
+
+
+def _square_disc_bs(a: int) -> list[int]:
+    """The b of enumeration._square_disc_alphas(a), ascending: the fast
+    path, in the form the scan below returns."""
+    return sorted(b for b, _js in _square_disc_alphas(a))
 
 
 def square_disc_bs_scan(a: int) -> list[int]:

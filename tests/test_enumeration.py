@@ -7,14 +7,13 @@ import pytest
 from cubictrace import enumeration
 from cubictrace.arith import factorize, is_prime
 from cubictrace.eisenstein import _cornacchia, ideal_count
-from cubictrace.enumeration import (_square_disc_bs, b_range,
-                                    classified_polys_for_a, enumerate_all,
-                                    enumerate_field, min_height)
+from cubictrace.enumeration import (b_range, classified_polys_for_a,
+                                    enumerate_all, enumerate_field, min_height)
 from cubictrace.fields import field_invariants
 from cubictrace.arith import InconsistencyError
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic
 
-from oracles import square_disc_bs_scan
+from oracles import _square_disc_bs, square_disc_bs_scan
 
 
 class TestBRange:
@@ -72,7 +71,11 @@ class TestSquareDiscBs:
         assert len(bs) == expected and len(set(bs)) == len(bs)
 
     def test_b_outside_range_is_inconsistent(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "b_range", lambda a: range(0, 0))
+        # at a = -2, alpha = 32 + 3w has q = 61 = 9a - 2 (mod 27), so b = 3,
+        # but disc(-2, 3) = -87: that b lies outside b_range(-2)
+        monkeypatch.setattr(enumeration, "_norm_cube_elements",
+                            lambda h: [((32, 3), ((7, 1),))])
+        assert discriminant(TraceOnePoly(-2, 3)) == -87 and 3 not in b_range(-2)
         with pytest.raises(InconsistencyError):
             _square_disc_bs(-2)
 
@@ -116,6 +119,12 @@ class TestPolysForA:
             [(TraceOnePoly(-2, 1), 7)]
         assert classified_polys_for_a(-1) == ()
         assert classified_polys_for_a(0) == ()
+
+    def test_rejects_positive_a(self):
+        # refused before 1 - 3a = -2 reaches factorize
+        with pytest.raises(ValueError,
+                           match="enumeration requires a <= 0, got a = 1$"):
+            classified_polys_for_a(1)
 
     def test_a_minus_30(self):
         conductors = sorted(k.conductor for _f, k in classified_polys_for_a(-30))

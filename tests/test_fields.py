@@ -9,16 +9,17 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from cubictrace.arith import InconsistencyError, SizeLimitError, is_prime
-from cubictrace.enumeration import (_square_disc_bs, classified_polys_for_a,
-                                    enumerate_all, enumerate_field, min_height)
+from cubictrace.enumeration import (classified_polys_for_a, enumerate_all,
+                                    enumerate_field, min_height)
 from cubictrace import fields
 from cubictrace.fields import (FieldClass, _cube_labels, check_key,
                                conductor_of, field_invariants, is_isomorphic)
 from cubictrace.padic import valuation
 from cubictrace.poly import TraceOnePoly, discriminant, is_irreducible
 from cubictrace.verify import verify_corollary
-from oracles import (_index, conductor_padic, cubic_character, euler_phi,
-                     field_class_oracle, omega_mod_pi, split_prime_closure)
+from oracles import (_index, _square_disc_bs, conductor_padic, cubic_character,
+                     euler_phi, field_class_oracle, omega_mod_pi,
+                     split_prime_closure)
 
 _SPLIT_PRIMES = [p for p in range(7, 200) if p % 3 == 1 and is_prime(p)]
 _INERT_PRIMES = [p for p in range(2, 50) if p % 3 == 2 and is_prime(p)]

@@ -26,9 +26,11 @@ def raises_inconsistency_under_O(body: str) -> bool:
 
 
 def test_square_disc_b_outside_b_range_in_enumeration():
+    # At a = -2, alpha = 32 + 3w passes the mod-27 test and gives b = 3,
+    # with disc(-2, 3) = -87 <= 0.
     assert raises_inconsistency_under_O("""
         from cubictrace import enumeration
-        enumeration.b_range = lambda a: range(0, 0)
+        enumeration._norm_cube_elements = lambda h: [((32, 3), ((7, 1),))]
 
         def run():
             enumeration.classified_polys_for_a(-2)

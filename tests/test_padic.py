@@ -276,6 +276,15 @@ class TestDedekind:
         assert dedekind_index_test(TraceOnePoly(-37, 29), 2)
         assert not dedekind_index_test(TraceOnePoly(-37, 29), 7)
 
+    @pytest.mark.parametrize("p", [0, -2, 1, 4, 91])
+    def test_rejects_non_primes(self, p):
+        # without the check, p = -2 answered False though 2 divides the
+        # index, p = 4 answered True and p = 0 divided by zero
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            dedekind_index_test(TraceOnePoly(-37, 29), p)
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            roots_mod_p(TraceOnePoly(-2, 1), p)  # {5, 19, 68} at 91
+
     def test_nondivisors_of_disc_never_index_divisors(self):
         f = TraceOnePoly(-2, 1)
         for p in (3, 5, 11, 13):

@@ -45,6 +45,11 @@ class TestCorollary:
         check = next(c for c in report.checks if c.name == "a=-56")
         assert check.expected == 2 and check.actual == 2
 
+    def test_rejects_positive_a_min(self):
+        # a range with no a in it would pass with no check
+        with pytest.raises(ValueError, match="a_min must be <= 0, got 5"):
+            verify_corollary(K49, 5)
+
     def test_trivial_a_zero(self):
         report = verify_corollary(K49, 0)
         assert report.overall
@@ -74,6 +79,14 @@ class TestReproduceTables:
         k49_text = report.checks[0].actual
         assert len(k49_text.splitlines()) == 11
         assert sum(line.count("t^3") for line in k49_text.splitlines()) == 18
+
+    def test_misordered_transcription_fails(self, monkeypatch):
+        # the transcribed rows are rendered in the order given, not sorted
+        rows = list(verify.K49_TABLE_ROWS)
+        assert rows[2] == (7, (29, -13))
+        rows[2] = (7, (-13, 29))
+        monkeypatch.setattr(verify, "K49_TABLE_ROWS", tuple(rows))
+        assert [c.passed for c in reproduce_tables().checks] == [False, True, True]
 
     def test_deterministic_serialization(self):
         a = json.dumps(reproduce_tables().to_json())
