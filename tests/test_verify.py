@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -68,6 +69,13 @@ class TestFormula3:
         report = verify_formula3(K49, 10)
         note = next(c.note for c in report.checks if c.name == "N=10")
         assert "formula 1" in note and "ideal_count 0" in note
+
+    def test_golden_digest(self):
+        # sha256 of the whole report to N = 100: 12 known divergences among
+        # 34 checks, every name, value and note.
+        text = json.dumps(verify_formula3(K49, 100).to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "106bcc5b27a5ffcc5edf8549c1cf1a184aace0710ed6555c597bf41b1ed55f7d")
 
 
 class TestReproduceTables:
