@@ -2,7 +2,7 @@
 toric height, classification by root field, and verification that the counts
 per height match ideal counts in Q(sqrt(-3))."""
 
-from .arith import InconsistencyError, chi3, divisors, factorize, is_prime
+from .arith import InconsistencyError, divisors, factorize, is_prime
 from .eisenstein import (formula3_count, ideal_count, ideal_count_oracle,
                          p1_part, series_coeff)
 from .enumeration import (EnumerationRow, b_range, enumerate_all,
@@ -19,7 +19,7 @@ from .verify import (VerificationReport, formula3_divergences,
 __version__ = "1.0.0"
 
 __all__ = [
-    "InconsistencyError", "chi3", "divisors", "factorize", "is_prime",
+    "InconsistencyError", "divisors", "factorize", "is_prime",
     "formula3_count", "ideal_count", "ideal_count_oracle", "p1_part",
     "series_coeff",
     "EnumerationRow", "b_range", "enumerate_all", "enumerate_field",

@@ -1,5 +1,4 @@
-"""Exact integer arithmetic: factorization, divisor machinery and the
-character mod 3.
+"""Exact integer arithmetic: primality, factorization and divisors.
 
 `factorize` trial-divides by the primes below TRIAL_DIVISION_BOUND = 2^10
 while the cofactor is at least 2^20.  Below 2^20 those primes decide
@@ -183,11 +182,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             e += 1
         out.append((p, e))
     return tuple(out)
-
-
-def chi3(n: int) -> int:
-    """The nontrivial Dirichlet character mod 3: +1, -1, 0 on 1, 2, 0 mod 3."""
-    return (0, 1, -1)[n % 3]
 
 
 def divisors(n: int) -> list[int]:

@@ -4,11 +4,11 @@ Enumeration is driven by the t-coefficient a.  With h = 1 - 3a, the b whose
 discriminant is a nonzero square correspond to the conjugate pairs of
 elements of norm h^3 in Z[w], which are generated from the factorization of
 h (Cornacchia for each split prime) instead of testing every b in the
-interval b_range(a).  The walk builds one alpha of each pair from its
-valuations j_i at the split primes, and those alone give the conductor (the
-p_i with 3 not dividing j_i), the irreducibility (conductor > 1) and the
-cubic character; see `fields`.  Every such alpha gives an integer b: the
-mod-27 congruence that makes it one is proved in _square_disc_alphas.
+interval b_range(a).  One walk, _square_disc_alphas, builds one alpha of
+each pair from its valuations j_i at the split primes and carries what they
+fix: the conductor (the p_i with 3 not dividing j_i), so irreducibility
+(conductor > 1), and the character (the j_i mod 3); see `fields`.  Every
+such alpha gives an integer b, by the mod-27 congruence proved there.
 """
 
 from __future__ import annotations
@@ -49,20 +49,26 @@ def b_range(a: int) -> range:
 @lru_cache(maxsize=4096)
 def _factor_row(p: int, e: int) -> tuple:
     """The choices at a split prime p exactly dividing h as p^e: the pairs
-    ((p, j), pi^j conj(pi)^(3e-j)) for j = 0 .. 3e, with pi = _cornacchia(p).
+    (j mod 3, pi^j conj(pi)^(3e-j)) for j = 0 .. 3e, with pi = _cornacchia(p).
     Memoized, so Cornacchia and the powers run once per (p, e), not per a."""
     pi = _cornacchia(p)
     pows = [(1, 0)]
     for _ in range(3 * e):
         pows.append(_mul(pows[-1], pi))
-    return tuple(((p, j), _mul(pows[j], _conj(pows[3 * e - j])))
+    return tuple((j % 3, _mul(pows[j], _conj(pows[3 * e - j])))
                  for j in range(3 * e + 1))
 
 
-def _norm_cube_elements(h: int):
-    """Lazily, for h prime to 3, one alpha = x + y*w of each conjugate pair
-    with norm h^3, alpha = 2 (mod 3) and y != 0, taken with y > 0, each with
-    its valuations ((p_i, j_i), ...).
+def _square_disc_alphas(a: int):
+    """(b, (c, es)) for each b in b_range(a) whose discriminant is a positive
+    perfect square, in walk order: c is the product of the split p_i with 3
+    not dividing j_i and es those j_i mod 3, the key of fields._field_class,
+    so es = () exactly when the cubic is reducible.
+
+    With h = 1 - 3a and q = 9a + 27b - 2, disc = (4h^3 - q^2)/27, so
+    disc = s^2 exactly when alpha = (q + 3s*sqrt(-3))/2 = x + y*w, with
+    q = 2x - y and y = 3s, has norm h^3.  Such an alpha is = 2 (mod 3), since
+    q = 1 (mod 3), and its conjugate gives the same b.
 
     By unique factorization alpha = u * r * prod pi_i^j_i conj(pi_i)^(3e_i-j_i)
     over the split primes p_i = pi_i conj(pi_i), where p_i^e_i exactly divides
@@ -74,48 +80,9 @@ def _norm_cube_elements(h: int):
     Conjugation sends every j_i to 3e_i - j_i.  While the prefix is tied
     (each j so far equals 3e - j) the walk takes only 2j <= 3e, so of each
     pair it reaches the one whose first untied j has 2j < 3e.  The fully
-    tied alpha is its own conjugate, rational, and has disc 0: it is
-    dropped.  A kept alpha with y < 0 is replaced by its conjugate, with its
-    valuations as walked; they give the character chi^2 for chi, the same
-    field.  Depth-first, so memory stays linear in the number of primes
-    even when 6 d(h^3) elements would not fit.
-    """
-    rational = -1
-    rows = []
-    for p, e in factorize(h):
-        if p % 3 == 2:
-            if e % 2:
-                return
-            rational *= (-p) ** (3 * e // 2)
-        else:
-            rows.append(_factor_row(p, e))
-
-    def walk(i: int, alpha: tuple[int, int], js: tuple, tied: bool):
-        if i == len(rows):
-            x, y = alpha
-            if y > 0:
-                yield alpha, js
-            elif y < 0:
-                yield (x - y, -y), js
-            return
-        row = rows[i]  # 3e + 1 entries; while tied, only 2j <= 3e
-        for j in range((len(row) + 1) // 2 if tied else len(row)):
-            pj, factor = row[j]
-            yield from walk(i + 1, _mul(alpha, factor), (*js, pj),
-                            tied and 2 * j == len(row) - 1)
-
-    yield from walk(0, (rational, 0), (), True)
-
-
-def _square_disc_alphas(a: int):
-    """(b, valuations of alpha) for each b in b_range(a) whose discriminant
-    is a positive perfect square, in walk order.
-
-    With h = 1 - 3a and q = 9a + 27b - 2, disc = (4h^3 - q^2)/27, so
-    disc = s^2 exactly when alpha = (q + 3s*sqrt(-3))/2 = x + y*w, with
-    q = 2x - y and y = 3s, has norm h^3.  Such an alpha is = 2 (mod 3), since
-    q = 1 (mod 3).  The walk gives one alpha per conjugate pair (the
-    conjugate gives the same b) and none with s = 0 (disc = 0).
+    tied alpha is its own conjugate, rational, and has s = 0 (disc = 0): it
+    is dropped.  A kept alpha with y < 0 is replaced by its conjugate, with
+    es as walked; they give the character chi^2 for chi, the same field.
 
     Every alpha = 2 (mod 3) of norm h^3 has q = 9a - 2 (mod 27), so b is an
     integer.  Since 3 | y, q^2 = 4h^3 - 3y^2 = 4h^3 (mod 27), and
@@ -127,25 +94,50 @@ def _square_disc_alphas(a: int):
     if a > 0:
         raise ValueError(f"enumeration requires a <= 0, got a = {a}")
     h = 1 - 3 * a
-    for (x, y), js in _norm_cube_elements(h):
-        q = 2 * x - y
-        b, r = divmod(q - 9 * a + 2, 27)
-        if r:
-            raise InconsistencyError(
-                f"alpha = {x} + {y}w of norm (1 - 3a)^3 has q = {q} "
-                f"!= 9a - 2 (mod 27) at a = {a}")
-        if q * q >= 4 * h**3:
-            raise InconsistencyError(
-                f"alpha = {x} + {y}w gives b = {b} with disc <= 0 at a = {a}")
-        yield b, js
+    rational = -1
+    rows = []
+    for p, e in factorize(h):
+        if p % 3 == 2:
+            if e % 2:
+                return
+            rational *= (-p) ** (3 * e // 2)
+        else:
+            rows.append((p, _factor_row(p, e)))
+
+    def walk(i: int, alpha: tuple[int, int], c: int, es: tuple, tied: bool):
+        if i == len(rows):
+            x, y = alpha
+            if y == 0:
+                return
+            if y < 0:
+                x, y = x - y, -y
+            q = 2 * x - y
+            b, off = divmod(q - 9 * a + 2, 27)
+            if off:
+                raise InconsistencyError(
+                    f"alpha = {x} + {y}w of norm (1 - 3a)^3 has q = {q} "
+                    f"!= 9a - 2 (mod 27) at a = {a}")
+            if q * q >= 4 * h**3:
+                raise InconsistencyError(f"alpha = {x} + {y}w gives b = {b} "
+                                         f"with disc <= 0 at a = {a}")
+            yield b, (c, es)
+            return
+        p, row = rows[i]  # 3e + 1 entries; while tied, only 2j <= 3e
+        for j in range((len(row) + 1) // 2 if tied else len(row)):
+            r, factor = row[j]
+            yield from walk(i + 1, _mul(alpha, factor), c * p if r else c,
+                            (*es, r) if r else es,
+                            tied and 2 * j == len(row) - 1)
+
+    yield from walk(0, (rational, 0), 1, (), True)
 
 
 def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...]:
     """All cyclic trace-one cubics with this a, each with its field class,
-    ascending in b.  The class comes from the valuations of alpha; an alpha
-    with conductor 1 is a reducible cubic and is dropped.  Not memoized."""
-    classes = ((b, _field_class(js)) for b, js in sorted(_square_disc_alphas(a)))
-    return tuple((TraceOnePoly(a, b), k) for b, k in classes if k is not None)
+    ascending in b.  A leaf of the walk with no ramified prime is a
+    reducible cubic and is dropped.  Not memoized."""
+    return tuple((TraceOnePoly(a, b), _field_class(c, es))
+                 for b, (c, es) in sorted(_square_disc_alphas(a)) if es)
 
 
 @dataclass(frozen=True)

@@ -159,19 +159,13 @@ def check_key(k: FieldClass) -> tuple[int, ...]:
     return tuple(p for p, _ in ps)
 
 
-def _field_class(exponents) -> FieldClass | None:
-    """The class of the (p, j = v_pi(alpha)) pairs, ascending in p, with
-    pi = _cornacchia(p); None when c = 1, that is when f is reducible."""
-    c, es = 1, []
-    for p, j in exponents:
-        if j % 3:
-            c *= p
-            es.append(j % 3)
-    if not es:
-        return None
-    if es[0] == 2:  # chi^2 cuts out the same field as chi
-        es = [3 - e for e in es]
-    return FieldClass(c, tuple(es))
+def _field_class(c: int, es: tuple) -> FieldClass:
+    """The class of conductor c and exponents es, j = v_pi(alpha) mod 3 in
+    {1, 2} at the primes of c ascending, pi = _cornacchia(p); flipped to
+    e_1 = 1, since chi^2 cuts out the same field as chi."""
+    if es[0] == 2:
+        es = tuple(3 - e for e in es)
+    return FieldClass(c, es)
 
 
 def field_invariants(f: TraceOnePoly) -> FieldClass:
@@ -182,12 +176,11 @@ def field_invariants(f: TraceOnePoly) -> FieldClass:
     q, s = 9 * f.a + 27 * f.b - 2, math.isqrt(discriminant(f))
     alpha = ((q + 3 * s) // 2, 3 * s)  # q = 2x - y, y = 3s
     # v_p(gcd(q, s)) = min(j, 3 v_p(h) - j): 3 divides both or neither
-    k = _field_class((p, _valuation_at(alpha, _cornacchia(p), p))
-                     for p, e in factorize(math.gcd(q, s))
-                     if p % 3 == 1 and e % 3)
-    if k is None:
+    ps = [p for p, e in factorize(math.gcd(q, s)) if p % 3 == 1 and e % 3]
+    if not ps:
         raise InconsistencyError(f"{f} is cyclic but no prime ramifies")
-    return k
+    return _field_class(math.prod(ps), tuple(
+        _valuation_at(alpha, _cornacchia(p), p) % 3 for p in ps))
 
 
 def conductor_of(f: TraceOnePoly) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 
-from .arith import is_prime
+from .arith import FACTOR_LIMIT, SizeLimitError, is_prime
 from .fields import _cube_label, check_key, field_invariants
 from .poly import TraceOnePoly
 
@@ -140,10 +140,19 @@ def _fp_roots(poly, p: int) -> set[int]:
     return _split_roots(_pgcd(cbar, _psub(xp, (0, 1), p), p), p)
 
 
-def roots_mod_p(f: TraceOnePoly, p: int) -> set[int]:
-    """All residues r in [0, p) with f(r) = 0 mod p, for a prime p."""
+def _check_prime(p: int) -> None:
+    """Refuse p unless is_prime proves it prime, as it does below
+    FACTOR_LIMIT only: SizeLimitError past that, else ValueError."""
+    if p >= FACTOR_LIMIT:
+        raise SizeLimitError(f"cannot take {p} as a prime: is_prime is exact "
+                             f"only below {FACTOR_LIMIT} (about 3.3e24)")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+
+
+def roots_mod_p(f: TraceOnePoly, p: int) -> set[int]:
+    """All residues r in [0, p) with f(r) = 0 mod p, for a prime p."""
+    _check_prime(p)
     return _fp_roots((f.b, f.a, -1, 1), p)
 
 
@@ -156,8 +165,7 @@ def splitting_type(f: TraceOnePoly, p: int) -> SplittingType:
     Cyclotomic Fields, ch. 3) p ramifies iff p | c, and otherwise splits iff
     chi(p) = 1: no root of f is counted or lifted, so index divisors of
     Z[theta] need no special case."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     k = field_invariants(f)
     if k.conductor % p == 0:
         return SplittingType.RAMIFIED

@@ -142,9 +142,7 @@ def verify_formula3(k: FieldClass, n_max: int) -> VerificationReport:
         if n % 3 != 1:
             continue  # not realizable as (1-3a)/sqrt(D_K)
         formula = formula3_count(n)
-        if formula == count:
-            report.add(f"N={n}", formula, count)
-        elif not mod2_part_is_square(n):
+        if formula != count and not mod2_part_is_square(n):
             report.add(f"N={n}", count, count,
                        note=f"known divergence: formula {formula}, "
                             f"enumerated {count}, ideal_count {ideal_count(n)}")

@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from cubictrace import arith
 from cubictrace.arith import (FACTOR_LIMIT, TRIAL_DIVISION_BOUND,
-                              SizeLimitError, chi3, divisors, factorize,
-                              is_prime)
+                              SizeLimitError, divisors, factorize, is_prime)
 from oracles import (euler_phi, factorize_trial, least_prime_factors, primes,
                      subgroup_closure)
 
@@ -159,16 +158,6 @@ class TestDivisors:
         assert divisors(1) == [1]
         assert divisors(49) == [1, 7, 49]
         assert divisors(91) == [1, 7, 13, 91]
-
-
-class TestChi3:
-    def test_values(self):
-        assert [chi3(n) for n in range(6)] == [0, 1, -1, 0, 1, -1]
-
-    @given(st.integers(min_value=1, max_value=10**4),
-           st.integers(min_value=1, max_value=10**4))
-    def test_multiplicative(self, m, n):
-        assert chi3(m * n) == chi3(m) * chi3(n)
 
 
 class TestSubgroupClosure:

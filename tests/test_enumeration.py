@@ -71,10 +71,11 @@ class TestSquareDiscBs:
         assert len(bs) == expected and len(set(bs)) == len(bs)
 
     def test_b_outside_range_is_inconsistent(self, monkeypatch):
-        # at a = -2, alpha = 32 + 3w has q = 61 = 9a - 2 (mod 27), so b = 3,
-        # but disc(-2, 3) = -87: that b lies outside b_range(-2)
-        monkeypatch.setattr(enumeration, "_norm_cube_elements",
-                            lambda h: [((32, 3), ((7, 1),))])
+        # at a = -2, h = 7: a one-entry row at 7 gives alpha = -(-32 - 3w) =
+        # 32 + 3w, with q = 61 = 9a - 2 (mod 27), so b = 3, but
+        # disc(-2, 3) = -87: that b lies outside b_range(-2)
+        monkeypatch.setattr(enumeration, "_factor_row",
+                            lambda p, e: ((1, (-32, -3)),))
         assert discriminant(TraceOnePoly(-2, 3)) == -87 and 3 not in b_range(-2)
         with pytest.raises(InconsistencyError):
             _square_disc_bs(-2)

@@ -11,7 +11,7 @@ from sympy.polys.numberfields.basis import round_two
 from cubictrace.padic import (_BRUTE_FORCE_PRIME, SplittingType, _fp_roots,
                               dedekind_index_test, roots_mod_p, splitting_type,
                               valuation)
-from cubictrace.arith import factorize, is_prime
+from cubictrace.arith import FACTOR_LIMIT, SizeLimitError, factorize, is_prime
 from cubictrace.enumeration import classified_polys_for_a, enumerate_all
 from cubictrace.fields import is_isomorphic
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic, is_irreducible
@@ -284,6 +284,17 @@ class TestDedekind:
             dedekind_index_test(TraceOnePoly(-37, 29), p)
         with pytest.raises(ValueError, match=f"^{p} is not prime$"):
             roots_mod_p(TraceOnePoly(-2, 1), p)  # {5, 19, 68} at 91
+
+    @pytest.mark.parametrize("p", [FACTOR_LIMIT, 2**89 - 1])
+    def test_refuses_p_past_factor_limit(self, p):
+        # is_prime is exact only below FACTOR_LIMIT, which is
+        # 1287836182261 * 2575672364521 and passes it; without the refusal
+        # splitting_type called FACTOR_LIMIT inert and roots_mod_p raised
+        # pow's "base is not invertible".  2^89 - 1 is a true prime.
+        f = TraceOnePoly(-2, 1)
+        for call in (roots_mod_p, splitting_type, dedekind_index_test):
+            with pytest.raises(SizeLimitError, match="is_prime is exact only"):
+                call(f, p)
 
     def test_nondivisors_of_disc_never_index_divisors(self):
         f = TraceOnePoly(-2, 1)
