@@ -4,11 +4,11 @@ Enumeration is driven by the t-coefficient a.  With h = 1 - 3a, the b whose
 discriminant is a nonzero square correspond to the conjugate pairs of
 elements of norm h^3 in Z[w], which are generated from the factorization of
 h (Cornacchia for each split prime) instead of testing every b in the
-interval b_range(a).  One walk, _square_disc_alphas, builds one alpha of
-each pair from its valuations j_i at the split primes and carries what they
-fix: the conductor (the p_i with 3 not dividing j_i), so irreducibility
-(conductor > 1), and the character (the j_i mod 3); see `fields`.  Every
-such alpha gives an integer b, by the mod-27 congruence proved there.
+interval b_range(a).  One walk, _square_disc_alphas, takes them by the
+pattern of their valuations j_i mod 3 at the split primes, which fixes the
+field (see `fields`): one key per pattern, one alpha per conjugate pair and
+no reducible cubic.  Every such alpha gives an integer b, by the mod-27
+congruence proved there.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import isqrt
 
 from .arith import InconsistencyError, factorize
 from .eisenstein import _conj, _cornacchia, _mul, series_coeff
-from .fields import FieldClass, _field_class, check_key
+from .fields import FieldClass, check_key
 from .poly import TraceOnePoly
 
 
@@ -48,27 +48,26 @@ def b_range(a: int) -> range:
 
 @lru_cache(maxsize=4096)
 def _factor_row(p: int, e: int) -> tuple:
-    """The choices at a split prime p exactly dividing h as p^e: the pairs
-    (j mod 3, pi^j conj(pi)^(3e-j)) for j = 0 .. 3e, with pi = _cornacchia(p).
-    Memoized, so Cornacchia and the powers run once per (p, e), not per a."""
+    """The choices at a split prime p exactly dividing h as p^e: row[r] holds
+    pi^j conj(pi)^(3e-j) for the j = r (mod 3) in 0 .. 3e, pi = _cornacchia(p).
+    Memoized: Cornacchia and the powers run once per (p, e), not per a."""
     pi = _cornacchia(p)
     pows = [(1, 0)]
     for _ in range(3 * e):
         pows.append(_mul(pows[-1], pi))
-    return tuple((j % 3, _mul(pows[j], _conj(pows[3 * e - j])))
-                 for j in range(3 * e + 1))
+    factors = tuple(_mul(pows[j], _conj(pows[3 * e - j]))
+                    for j in range(3 * e + 1))
+    return factors[0::3], factors[1::3], factors[2::3]
 
 
 def _square_disc_alphas(a: int):
-    """(b, (c, es)) for each b in b_range(a) whose discriminant is a positive
-    perfect square, in walk order: c is the product of the split p_i with 3
-    not dividing j_i and es those j_i mod 3, the key of fields._field_class,
-    so es = () exactly when the cubic is reducible.
+    """(b, k) for each irreducible t^3 - t^2 + a t + b whose discriminant is a
+    positive square, k the FieldClass of its root field, in walk order.
 
     With h = 1 - 3a and q = 9a + 27b - 2, disc = (4h^3 - q^2)/27, so
     disc = s^2 exactly when alpha = (q + 3s*sqrt(-3))/2 = x + y*w, with
     q = 2x - y and y = 3s, has norm h^3.  Such an alpha is = 2 (mod 3), since
-    q = 1 (mod 3), and its conjugate gives the same b.
+    q = 1 (mod 3); q is its trace, so its conjugate gives the same b.
 
     By unique factorization alpha = u * r * prod pi_i^j_i conj(pi_i)^(3e_i-j_i)
     over the split primes p_i = pi_i conj(pi_i), where p_i^e_i exactly divides
@@ -77,12 +76,12 @@ def _square_disc_alphas(a: int):
     alpha = 2 (mod 3).  An inert prime with odd exponent in h^3 leaves no
     alpha at all.
 
-    Conjugation sends every j_i to 3e_i - j_i.  While the prefix is tied
-    (each j so far equals 3e - j) the walk takes only 2j <= 3e, so of each
-    pair it reaches the one whose first untied j has 2j < 3e.  The fully
-    tied alpha is its own conjugate, rational, and has s = 0 (disc = 0): it
-    is dropped.  A kept alpha with y < 0 is replaced by its conjugate, with
-    es as walked; they give the character chi^2 for chi, the same field.
+    The pattern of the j_i mod 3 fixes the field (see `fields`): c is the
+    product of the p_i with j_i != 0 and chi = prod (./pi_i)_3^(j_i).
+    Conjugation (j_i -> 3e_i - j_i) negates it, so the walk takes each pattern
+    whose first nonzero entry is 1, builds its FieldClass once and yields
+    all its alpha.  It never walks the all-zero pattern: the reducible cubics
+    and the rational alpha (disc = 0).
 
     Every alpha = 2 (mod 3) of norm h^3 has q = 9a - 2 (mod 27), so b is an
     integer.  Since 3 | y, q^2 = 4h^3 - 3y^2 = 4h^3 (mod 27), and
@@ -103,41 +102,38 @@ def _square_disc_alphas(a: int):
             rational *= (-p) ** (3 * e // 2)
         else:
             rows.append((p, _factor_row(p, e)))
+    last = len(rows) - 1
+    four_h3 = 4 * h**3
 
-    def walk(i: int, alpha: tuple[int, int], c: int, es: tuple, tied: bool):
-        if i == len(rows):
-            x, y = alpha
-            if y == 0:
-                return
-            if y < 0:
-                x, y = x - y, -y
-            q = 2 * x - y
-            b, off = divmod(q - 9 * a + 2, 27)
-            if off:
-                raise InconsistencyError(
-                    f"alpha = {x} + {y}w of norm (1 - 3a)^3 has q = {q} "
-                    f"!= 9a - 2 (mod 27) at a = {a}")
-            if q * q >= 4 * h**3:
-                raise InconsistencyError(f"alpha = {x} + {y}w gives b = {b} "
-                                         f"with disc <= 0 at a = {a}")
-            yield b, (c, es)
+    def walk(i: int, alphas: list, c: int, es: tuple):
+        if i > last:
+            k = FieldClass(c, es)
+            for x, y in alphas:
+                q = 2 * x - y
+                b, off = divmod(q - 9 * a + 2, 27)
+                if off:
+                    raise InconsistencyError(
+                        f"alpha = {x} + {y}w of norm (1 - 3a)^3 has q = {q} "
+                        f"!= 9a - 2 (mod 27) at a = {a}")
+                if q * q >= four_h3:
+                    raise InconsistencyError(f"alpha = {x} + {y}w gives b = "
+                                             f"{b} with disc <= 0 at a = {a}")
+                yield b, k
             return
-        p, row = rows[i]  # 3e + 1 entries; while tied, only 2j <= 3e
-        for j in range((len(row) + 1) // 2 if tied else len(row)):
-            r, factor = row[j]
-            yield from walk(i + 1, _mul(alpha, factor), c * p if r else c,
-                            (*es, r) if r else es,
-                            tied and 2 * j == len(row) - 1)
+        p, row = rows[i]  # r = 2 before any nonzero r: the conjugate of r = 1
+        for r in (0, 1, 2) if es else (0, 1) if i < last else (1,):
+            yield from walk(i + 1, [_mul(x, f) for x in alphas for f in row[r]],
+                            c * p if r else c, (*es, r) if r else es)
 
-    yield from walk(0, (rational, 0), 1, (), True)
+    if rows:
+        yield from walk(0, [(rational, 0)], 1, ())
 
 
 def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...]:
     """All cyclic trace-one cubics with this a, each with its field class,
-    ascending in b.  A leaf of the walk with no ramified prime is a
-    reducible cubic and is dropped.  Not memoized."""
-    return tuple((TraceOnePoly(a, b), _field_class(c, es))
-                 for b, (c, es) in sorted(_square_disc_alphas(a)) if es)
+    ascending in b.  Not memoized."""
+    return tuple((TraceOnePoly(a, b), k)
+                 for b, k in sorted(_square_disc_alphas(a)))
 
 
 @dataclass(frozen=True)

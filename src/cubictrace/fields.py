@@ -101,7 +101,7 @@ class FieldClass:
     character: tuple[int, ...]
 
     def __post_init__(self):
-        es = self.character  # count() beats a set check: the key is hot
+        es = self.character
         if not es or es[0] != 1 or es.count(1) + es.count(2) != len(es):
             raise ValueError(f"character {es} is not normalized: entries in "
                              "{1, 2}, the first equal to 1")
@@ -148,8 +148,9 @@ class FieldClass:
 def check_key(k: FieldClass) -> tuple[int, ...]:
     """The primes of k's conductor, ascending.  Raises ValueError unless the
     conductor is a product of len(k.character) distinct primes = 1 (mod 3):
-    keys from _field_class always are, but FieldClass does not factor c when
-    it is built, so the entry points that take a key check it once."""
+    keys from the census walk and field_invariants always are, but FieldClass
+    does not factor c when it is built, so the entry points that take a key
+    check it once."""
     ps = factorize(k.conductor)
     if (len(ps) != len(k.character)
             or any(e != 1 or p % 3 != 1 for p, e in ps)):
@@ -157,15 +158,6 @@ def check_key(k: FieldClass) -> tuple[int, ...]:
                          "distinct primes = 1 (mod 3) as conductor, not "
                          f"{k.conductor}")
     return tuple(p for p, _ in ps)
-
-
-def _field_class(c: int, es: tuple) -> FieldClass:
-    """The class of conductor c and exponents es, j = v_pi(alpha) mod 3 in
-    {1, 2} at the primes of c ascending, pi = _cornacchia(p); flipped to
-    e_1 = 1, since chi^2 cuts out the same field as chi."""
-    if es[0] == 2:
-        es = tuple(3 - e for e in es)
-    return FieldClass(c, es)
 
 
 def field_invariants(f: TraceOnePoly) -> FieldClass:
@@ -179,8 +171,9 @@ def field_invariants(f: TraceOnePoly) -> FieldClass:
     ps = [p for p, e in factorize(math.gcd(q, s)) if p % 3 == 1 and e % 3]
     if not ps:
         raise InconsistencyError(f"{f} is cyclic but no prime ramifies")
-    return _field_class(math.prod(ps), tuple(
-        _valuation_at(alpha, _cornacchia(p), p) % 3 for p in ps))
+    es = [_valuation_at(alpha, _cornacchia(p), p) % 3 for p in ps]
+    # chi^2 cuts out the same field as chi, and chi^(e_1) has e_1 = 1
+    return FieldClass(math.prod(ps), tuple(e * es[0] % 3 for e in es))
 
 
 def conductor_of(f: TraceOnePoly) -> int:

@@ -41,6 +41,8 @@ K169_TABLE_ROWS = (
     (43, (961, 415)),
 )
 
+NORM_TOLERANCE = 1e-9  # of norm_proportionality_check, relative to (2/3)H^2
+
 # Dedekind zeta coefficients d_N of Q(sqrt(-3)) for N = 1 mod 3 up to 97
 # (zero values omitted, as printed).
 DN_TABLE = (
@@ -222,11 +224,10 @@ def real_roots(f: TraceOnePoly) -> tuple[float, float, float]:
     return tuple(roots)
 
 
-def norm_proportionality_check(f: TraceOnePoly,
-                               tolerance: float = 1e-9) -> VerificationReport:
+def norm_proportionality_check(f: TraceOnePoly) -> VerificationReport:
     """Numeric check that the squared quotient norm on Minkowski space mod
-    the diagonal equals (2/3) * H(f)^2, to a tolerance relative to (2/3)H^2:
-    the float rounding grows with H^2."""
+    the diagonal equals (2/3) * H(f)^2, to NORM_TOLERANCE relative to
+    (2/3)H^2: the float rounding grows with H^2."""
     if not is_cyclic(f):
         raise ValueError(f"{f} is not cyclic")
     report = VerificationReport(f"norm-proportionality[{f}]")
@@ -235,7 +236,7 @@ def norm_proportionality_check(f: TraceOnePoly,
     qnorm_sq = sum(x * x for x in xs) - total * total / 3.0
     target = (2.0 / 3.0) * height_sq(f)
     err = abs(qnorm_sq - target)
-    report.add(f"|qnorm^2 - (2/3)H^2| < {tolerance} * (2/3)H^2", True,
-               err < tolerance * target,
+    report.add(f"|qnorm^2 - (2/3)H^2| < {NORM_TOLERANCE} * (2/3)H^2", True,
+               err < NORM_TOLERANCE * target,
                note=f"qnorm^2 = {qnorm_sq!r}, (2/3)H^2 = {target!r}, err = {err:.3e}")
     return report

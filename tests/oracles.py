@@ -1,6 +1,7 @@
 """Slow reference algorithms that the fast paths in `cubictrace` are checked
 against."""
 
+import functools
 import itertools
 import math
 
@@ -297,14 +298,16 @@ def field_class_oracle(f):
 
 def _square_disc_bs(a: int) -> list[int]:
     """The b of enumeration._square_disc_alphas(a), ascending: the fast
-    path, in the form the scan below returns."""
-    return sorted(b for b, _js in _square_disc_alphas(a))
+    path, which yields only the cyclic (irreducible) cubics."""
+    return sorted(b for b, _k in _square_disc_alphas(a))
 
 
-def square_disc_bs_scan(a: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def square_disc_bs_scan(a: int) -> tuple[int, ...]:
     """b values in b_range(a) whose discriminant is a perfect square,
-    ascending, by testing every b (residue classes mod _SCAN_MODULUS that
-    cannot hold a square are skipped whole)."""
+    reducible cubics included, ascending, by testing every b (residue classes
+    mod _SCAN_MODULUS that cannot hold a square are skipped whole).  Cached:
+    several tests scan the same range of a, and the scan is their cost."""
     rng = b_range(a)
     B = 4 - 18 * a
     C = a * a - 4 * a**3
@@ -317,7 +320,7 @@ def square_disc_bs_scan(a: int) -> list[int]:
             d = (-27 * b + B) * b + C
             if math.isqrt(d) ** 2 == d:
                 out.append(b)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def lift_root_zp_bfs(f, p: int) -> bool:

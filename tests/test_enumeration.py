@@ -11,9 +11,15 @@ from cubictrace.enumeration import (b_range, classified_polys_for_a,
                                     enumerate_all, enumerate_field, min_height)
 from cubictrace.fields import field_invariants
 from cubictrace.arith import InconsistencyError
-from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic
+from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic, is_irreducible
 
 from oracles import _square_disc_bs, square_disc_bs_scan
+
+
+def cyclic_bs_scan(a: int) -> list[int]:
+    """The scan's b whose cubic is irreducible, by bisection."""
+    return [b for b in square_disc_bs_scan(a)
+            if is_irreducible(TraceOnePoly(a, b))]
 
 
 class TestBRange:
@@ -37,7 +43,7 @@ class TestBRange:
 class TestSquareDiscBs:
     def test_matches_scan(self):
         for a in range(-3000, 1):
-            assert _square_disc_bs(a) == square_disc_bs_scan(a), a
+            assert _square_disc_bs(a) == cyclic_bs_scan(a), a
 
     @pytest.mark.parametrize("a, h", [
         (-3, 10),                   # inert 2 and 5 with odd exponent: no b
@@ -47,7 +53,7 @@ class TestSquareDiscBs:
     ])
     def test_adversarial_heights(self, a, h):
         assert 1 - 3 * a == h
-        assert _square_disc_bs(a) == square_disc_bs_scan(a)
+        assert _square_disc_bs(a) == cyclic_bs_scan(a)
 
     @pytest.mark.parametrize("h", [
         7**2 * 13**2, 7**4 * 13, 2**2 * 7 * 13, 5**2 * 7**2,
@@ -55,9 +61,10 @@ class TestSquareDiscBs:
         10,                         # inert 2 and 5 to odd powers: no b
     ])
     def test_one_b_per_conjugate_pair(self, h):
-        # The prod (3e_i + 1) alphas of norm h^3 pair off under conjugation,
-        # but for the real one when every e_i is even; each pair gives one b.
-        # Most of these heights are out of the scan's reach.
+        # Of the prod (3e_i + 1) alphas of norm h^3, the prod (e_i + 1) with
+        # every j_i = 0 (mod 3) give reducible cubics (or disc = 0); the rest
+        # pair off under conjugation, and each pair gives one b.  Most of
+        # these heights are out of the scan's reach.
         a, r = divmod(1 - h, 3)
         assert r == 0
         fs = factorize(h)
@@ -66,16 +73,16 @@ class TestSquareDiscBs:
             expected = 0
         else:
             expected = (prod(3 * e + 1 for e in es)
-                        - all(e % 2 == 0 for e in es)) // 2
+                        - prod(e + 1 for e in es)) // 2
         bs = _square_disc_bs(a)
         assert len(bs) == expected and len(set(bs)) == len(bs)
 
     def test_b_outside_range_is_inconsistent(self, monkeypatch):
-        # at a = -2, h = 7: a one-entry row at 7 gives alpha = -(-32 - 3w) =
-        # 32 + 3w, with q = 61 = 9a - 2 (mod 27), so b = 3, but
-        # disc(-2, 3) = -87: that b lies outside b_range(-2)
+        # at a = -2, h = 7: a row at 7 with one entry, at residue 1, gives
+        # alpha = -(-32 - 3w) = 32 + 3w, with q = 61 = 9a - 2 (mod 27), so
+        # b = 3, but disc(-2, 3) = -87: that b lies outside b_range(-2)
         monkeypatch.setattr(enumeration, "_factor_row",
-                            lambda p, e: ((1, (-32, -3)),))
+                            lambda p, e: ((), ((-32, -3),), ()))
         assert discriminant(TraceOnePoly(-2, 3)) == -87 and 3 not in b_range(-2)
         with pytest.raises(InconsistencyError):
             _square_disc_bs(-2)
@@ -114,6 +121,16 @@ class TestPolysForA:
                 digest.update(line.encode())
         assert digest.hexdigest() == (
             "1fa8489cc28926a0bbd710ec20434d0a55642bfbf5f8ff21f313aa05a21b2abd")
+
+    def test_one_key_object_per_pattern(self):
+        # h is seven split primes: of its 4^7 alphas, 2^7 give reducible
+        # cubics, and the rest give 8128 b in (3^7 - 1)/2 residue patterns up
+        # to conjugation.  The walk builds one key per pattern, not per cubic.
+        h = 7 * 13 * 19 * 31 * 37 * 43 * 61
+        rows = classified_polys_for_a((1 - h) // 3)
+        keys = [k for _f, k in rows]
+        assert len(rows) == (4**7 - 2**7) // 2 == 8128
+        assert len(set(keys)) == len({id(k) for k in keys}) == 1093
 
     def test_examples(self):
         assert [(f, k.conductor) for f, k in classified_polys_for_a(-2)] == \

@@ -19,7 +19,7 @@ from cubictrace.poly import TraceOnePoly, discriminant, is_irreducible
 from cubictrace.verify import verify_corollary
 from oracles import (_index, _square_disc_bs, conductor_padic, cubic_character,
                      euler_phi, field_class_oracle, omega_mod_pi,
-                     split_prime_closure)
+                     split_prime_closure, square_disc_bs_scan)
 
 _SPLIT_PRIMES = [p for p in range(7, 200) if p % 3 == 1 and is_prime(p)]
 _INERT_PRIMES = [p for p in range(2, 50) if p % 3 == 2 and is_prime(p)]
@@ -168,13 +168,13 @@ class TestAgainstOracles:
         assert checked > 4000
 
     def test_dropped_alphas_are_reducible(self):
-        # an alpha with conductor 1 is dropped from the census; sympy must
-        # find its cubic reducible
+        # a square-discriminant b of the scan that the census does not list
+        # (an alpha with conductor 1); sympy must find its cubic reducible
         t = sympy.Symbol("t")
         dropped = 0
         for a in range(-3000, 1):
             kept = {f.b for f, _k in classified_polys_for_a(a)}
-            for b in _square_disc_bs(a):
+            for b in square_disc_bs_scan(a):
                 if b not in kept:
                     poly = sympy.Poly(t**3 - t**2 + a * t + b, t)
                     assert not poly.is_irreducible, (a, b)

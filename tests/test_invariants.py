@@ -26,11 +26,12 @@ def raises_inconsistency_under_O(body: str) -> bool:
 
 
 def test_square_disc_b_outside_b_range_in_enumeration():
-    # At a = -2 (h = 7), a one-entry row gives alpha = 32 + 3w, which passes
-    # the mod-27 test and gives b = 3, with disc(-2, 3) = -87 <= 0.
+    # At a = -2 (h = 7), a row with one entry, at residue 1, gives
+    # alpha = 32 + 3w, which passes the mod-27 test and gives b = 3, with
+    # disc(-2, 3) = -87 <= 0.
     assert raises_inconsistency_under_O("""
         from cubictrace import enumeration
-        enumeration._factor_row = lambda p, e: ((1, (-32, -3)),)
+        enumeration._factor_row = lambda p, e: ((), ((-32, -3),), ())
 
         def run():
             enumeration.classified_polys_for_a(-2)
@@ -38,12 +39,12 @@ def test_square_disc_b_outside_b_range_in_enumeration():
 
 
 def test_alpha_off_the_mod_27_class_in_enumeration():
-    # At a = -2 (h = 7), a one-entry row gives alpha = 1 + 3w, with
-    # q = 2x - y = -1, not = 9a - 2 (mod 27): the census raises instead of
-    # skipping it.
+    # At a = -2 (h = 7), a row with one entry, at residue 1, gives
+    # alpha = 1 + 3w, with q = 2x - y = -1, not = 9a - 2 (mod 27): the census
+    # raises instead of skipping it.
     assert raises_inconsistency_under_O("""
         from cubictrace import enumeration
-        enumeration._factor_row = lambda p, e: ((1, (-1, -3)),)
+        enumeration._factor_row = lambda p, e: ((), ((-1, -3),), ())
 
         def run():
             enumeration.classified_polys_for_a(-2)
