@@ -7,7 +7,8 @@ h (Cornacchia for each split prime) instead of testing every b in the
 interval b_range(a).  One walk, _square_disc_alphas, takes them by the
 pattern of their valuations j_i mod 3 at the split primes, which fixes the
 field (see `fields`): one key per pattern, one alpha per conjugate pair and
-no reducible cubic.  Every such alpha gives an integer b, by the mod-27
+no reducible cubic.  A field's cubics at a are one pattern, which _members
+walks alone.  Every such alpha gives an integer b, by the mod-27
 congruence proved there.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 from .arith import InconsistencyError, factorize
 from .eisenstein import _conj, _cornacchia, _mul, series_coeff
@@ -60,9 +61,10 @@ def _factor_row(p: int, e: int) -> tuple:
     return factors[0::3], factors[1::3], factors[2::3]
 
 
-def _square_disc_alphas(a: int):
+def _square_disc_alphas(a: int, k: FieldClass | None = None):
     """(b, k) for each irreducible t^3 - t^2 + a t + b whose discriminant is a
-    positive square, k the FieldClass of its root field, in walk order.
+    positive square, k the FieldClass of its root field, in walk order; given
+    a key k, only the cubics with root field k.
 
     With h = 1 - 3a and q = 9a + 27b - 2, disc = (4h^3 - q^2)/27, so
     disc = s^2 exactly when alpha = (q + 3s*sqrt(-3))/2 = x + y*w, with
@@ -81,7 +83,10 @@ def _square_disc_alphas(a: int):
     Conjugation (j_i -> 3e_i - j_i) negates it, so the walk takes each pattern
     whose first nonzero entry is 1, builds its FieldClass once and yields
     all its alpha.  It never walks the all-zero pattern: the reducible cubics
-    and the rational alpha (disc = 0).
+    and the rational alpha (disc = 0).  Given k, it walks k's pattern alone:
+    e_p at each p | c and 0 at the other split primes.  A key whose conductor
+    is not the product of len(character) split primes of h has no pattern
+    and no cubics at a.
 
     Every alpha = 2 (mod 3) of norm h^3 has q = 9a - 2 (mod 27), so b is an
     integer.  Since 3 | y, q^2 = 4h^3 - 3y^2 = 4h^3 (mod 27), and
@@ -102,12 +107,17 @@ def _square_disc_alphas(a: int):
             rational *= (-p) ** (3 * e // 2)
         else:
             rows.append((p, _factor_row(p, e)))
+    if k is not None:
+        ps = [p for p, _ in rows if k.conductor % p == 0]
+        if prod(ps) != k.conductor or len(ps) != len(k.character):
+            return
+        fixed = dict(zip(ps, k.character))
     last = len(rows) - 1
     four_h3 = 4 * h**3
 
     def walk(i: int, alphas: list, c: int, es: tuple):
         if i > last:
-            k = FieldClass(c, es)
+            key = FieldClass(c, es)
             for x, y in alphas:
                 q = 2 * x - y
                 b, off = divmod(q - 9 * a + 2, 27)
@@ -118,10 +128,11 @@ def _square_disc_alphas(a: int):
                 if q * q >= four_h3:
                     raise InconsistencyError(f"alpha = {x} + {y}w gives b = "
                                              f"{b} with disc <= 0 at a = {a}")
-                yield b, k
+                yield b, key
             return
         p, row = rows[i]  # r = 2 before any nonzero r: the conjugate of r = 1
-        for r in (0, 1, 2) if es else (0, 1) if i < last else (1,):
+        for r in ((fixed.get(p, 0),) if k is not None else (0, 1, 2) if es
+                  else (0, 1) if i < last else (1,)):
             yield from walk(i + 1, [_mul(x, f) for x in alphas for f in row[r]],
                             c * p if r else c, (*es, r) if r else es)
 
@@ -155,8 +166,9 @@ class EnumerationRow:
 
 
 def _members(k: FieldClass, a: int) -> tuple[TraceOnePoly, ...]:
-    """The cyclic cubics at a with root field k, ascending in b."""
-    return tuple(f for f, kk in classified_polys_for_a(a) if kk == k)
+    """The cyclic cubics at a with root field k, one pattern of the walk."""
+    return tuple(TraceOnePoly(a, b)
+                 for b in sorted(b for b, _k in _square_disc_alphas(a, k)))
 
 
 def _row(k: FieldClass, n: int) -> EnumerationRow:

@@ -326,6 +326,16 @@ class TestCount:
         code, _, err = run(capsys, "count", "--field", K49_POLY, "-a", "2")
         assert code == 3
 
+    def test_walks_one_pattern_at_the_14_prime_height(self):
+        # h = 1 - 3a is 7 times the 13 next split primes, the most below
+        # FACTOR_LIMIT: one field's 8192 cubics, not the (4^14 - 2^14)/2 of
+        # the census
+        out, peak_kb = peak_child(["count", "--field=-2,1", "-a",
+                                   "-92661511257552322346564"], subprocess.PIPE)
+        assert out == (b"count = 8192  "
+                       b"(predicted d_39712076253236709577099 = 8192)\n")
+        assert peak_kb < 64 * 1024
+
 
 class TestZetaCoeffs:
     def test_figure_values(self, capsys):
@@ -390,11 +400,11 @@ class TestVerify:
         assert "PASS (43/43 checks)" in out
 
     def test_check_norms_walks_each_a_once(self, capsys, monkeypatch):
-        # one census walk per admissible N, shared by both kinds of check
+        # one walk per admissible N, shared by both kinds of check
         calls = []
-        walk = enumeration.classified_polys_for_a
-        monkeypatch.setattr(enumeration, "classified_polys_for_a",
-                            lambda a: calls.append(a) or walk(a))
+        walk = enumeration._square_disc_alphas
+        monkeypatch.setattr(enumeration, "_square_disc_alphas",
+                            lambda a, k=None: calls.append(a) or walk(a, k))
         code, out, _ = run(capsys, "verify", "--field", K49_POLY,
                            "--max-norm", "43", "--check-norms")
         assert code == 0 and "PASS (61/61 checks)" in out

@@ -7,9 +7,9 @@ import pytest
 from cubictrace import enumeration
 from cubictrace.arith import factorize, is_prime
 from cubictrace.eisenstein import _cornacchia, ideal_count
-from cubictrace.enumeration import (b_range, classified_polys_for_a,
+from cubictrace.enumeration import (_members, b_range, classified_polys_for_a,
                                     enumerate_all, enumerate_field, min_height)
-from cubictrace.fields import field_invariants
+from cubictrace.fields import FieldClass, field_invariants
 from cubictrace.arith import InconsistencyError
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic, is_irreducible
 
@@ -191,6 +191,28 @@ class TestEnumerateField:
         k = field_invariants(TraceOnePoly(-2, 1))
         with pytest.raises(ValueError):
             enumerate_field(k, 0)
+
+    def test_members_is_the_filtered_census(self):
+        # each class with c <= 200 has a member at H^2 = c, so a >= -66
+        classes = [k for k in enumerate_all(-66) if k.conductor <= 200]
+        assert len(classes) == 25
+        pairs = 0
+        for k in classes:
+            for n in range(1, 1001, 3):  # c = 1 (mod 3): the admissible N
+                a = (1 - k.conductor * n) // 3
+                assert _members(k, a) == tuple(
+                    f for f, kk in classified_polys_for_a(a) if kk == k), (k, a)
+                pairs += 1
+        assert pairs == 8350
+        # 7 * 13 = 91 with one exponent: the first prime's pattern alone is
+        # K_49's (b = -41 and 43), but the key fits no pattern at a = -30
+        assert _members(FieldClass(91, (1,)), -30) == ()
+        assert _members(FieldClass(7, (1,)), -30) == (TraceOnePoly(-30, -41),
+                                                      TraceOnePoly(-30, 43))
+        # conductors that do not divide h = 7 * 13, or are not squarefree
+        for k in (FieldClass(19, (1,)), FieldClass(7 * 19, (1, 2)),
+                  FieldClass(49, (1,)), FieldClass(7 * 13 * 19, (1, 1, 1))):
+            assert _members(k, -30) == ()
 
 
 class TestMinHeight:
