@@ -68,6 +68,19 @@ def divisor_sum_chi3(n: int) -> int:
     return sum((0, 1, -1)[d % 3] for d in range(1, n + 1) if n % d == 0)
 
 
+def divisor_sums_per_k(size: int) -> bytearray:
+    """d_N = sum_{d|N} chi3(d) at index N for 0 < N < size (0 at index 0),
+    mod 256, by the Dirichlet-convolution sieve with one slice per k:
+    chi3(k) is added at every multiple of k."""
+    up = bytes((i + 1) & 255 for i in range(256))
+    down = bytes((i - 1) & 255 for i in range(256))
+    d = bytearray(size)
+    for k in range(1, size):
+        if k % 3:
+            d[k::k] = d[k::k].translate(up if k % 3 == 1 else down)
+    return d
+
+
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n):

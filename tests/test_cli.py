@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -53,14 +54,16 @@ def spawn(*argv):
                             env=spawn_env())
 
 
-def peak_child(argv, stdout) -> tuple[bytes, int]:
-    """The CLI on argv in a fresh interpreter: its stdout, and its peak RSS
-    in kB as the child reads it.  That is VmHWM, the peak of the child's own
-    image: getrusage's ru_maxrss also counts the pytest process it was
-    forked from."""
-    script = ("import re, sys\n"
-              "from cubictrace.cli import main\n"
-              "code = main(sys.argv[1:])\n"
+CLI_MAIN = "from cubictrace.cli import main\ncode = main(sys.argv[1:])\n"
+
+
+def peak_child(argv, stdout, body=CLI_MAIN) -> tuple[bytes, int]:
+    """`body`, by default the CLI on argv, in a fresh interpreter: its
+    stdout, and its peak RSS in kB as the child reads it.  That is VmHWM,
+    the peak of the child's own image: getrusage's ru_maxrss also counts the
+    pytest process it was forked from.  `body` sets `code`, the exit
+    status."""
+    script = ("import re, sys\n" + body +
               "sys.stdout.flush()\n"
               "with open('/proc/self/status') as fh:\n"
               "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1], file=sys.stderr)\n"
@@ -380,6 +383,20 @@ class TestZetaCoeffs:
         """zeta-coeffs --max m --format json in a fresh interpreter."""
         return peak_child(["zeta-coeffs", "--max", str(m), "--format", "json"],
                           stdout)
+
+    def test_oracle_at_the_top_of_its_range(self):
+        # the sieve's table for N < 2^24 in a fresh interpreter: its values
+        # against the closed form, and its peak: about 17 MB of import, the
+        # 16 MB table and 16 MB for the k = 2 slice and its translation
+        rng = random.Random(0)
+        ns = [ORACLE_LIMIT - 1] + [rng.randrange(1 << 23, 1 << 24)
+                                   for _ in range(2000)]
+        body = ("from cubictrace.eisenstein import ideal_count_oracle\n"
+                "print(*(ideal_count_oracle(int(n)) for n in sys.argv[1:]))\n"
+                "code = 0\n")
+        out, peak_kb = peak_child(list(map(str, ns)), subprocess.PIPE, body)
+        assert list(map(int, out.split())) == list(map(ideal_count, ns))
+        assert peak_kb < 56 * 1024
 
     def test_json_streams_in_bounded_memory(self):
         out, _ = self.json_child(300, subprocess.PIPE)

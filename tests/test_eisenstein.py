@@ -8,7 +8,7 @@ from cubictrace.eisenstein import (ORACLE_LIMIT, _cornacchia, _mul,
                                    _valuation_at, formula3_count, ideal_count,
                                    ideal_count_oracle, mod2_part_is_square,
                                    p1_part, series_coeff)
-from oracles import divisor_sum_chi3
+from oracles import divisor_sum_chi3, divisor_sums_per_k
 
 
 class TestZw:
@@ -134,6 +134,19 @@ class TestOracle:
         # the least N with d_N >= 256, which bounds the sieve's mod-256 count
         assert ideal_count(7**3 * 13 * 19 * 31 * 37 * 43 * 61) == 256
         assert 7**3 * 13 * 19 * 31 * 37 * 43 * 61 == 254889990901 > ORACLE_LIMIT
+
+
+class TestDivisorSums:
+    # every small size; K^2 - 1, K^2 and K^2 + 1, where the sieve's k <= K
+    # and k > K sides meet; and larger sizes, up to the verify workload's 2^17
+    @pytest.mark.parametrize("sizes", [
+        range(401),
+        [K * K + e for K in range(2, 71) for e in (-1, 0, 1)],
+        [1 << 12, (1 << 13) + 1, 10**5, 1 << 17],
+    ], ids=["small", "squares", "large"])
+    def test_matches_one_slice_per_k(self, sizes):
+        for size in sizes:
+            assert eisenstein._divisor_sums(size) == divisor_sums_per_k(size), size
 
 
 class TestSeriesCoeff:
