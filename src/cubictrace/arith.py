@@ -5,6 +5,9 @@ while the cofactor is at least 2^20.  Below 2^20 those primes decide
 primality, so it reads each remaining prime from _LEAST_FACTOR, one byte
 per odd m < 2^20 (512 KB, built at import in about 2 ms).  A cofactor of
 2^20 or more with no prime below 2^10 goes to Miller-Rabin and Pollard rho.
+The table has one other reader, _ideal_count_walk, which gives
+eisenstein.ideal_count its d_n for n < 2^20 without building a
+factorization, so that the table's byte format stays known to this module.
 It refuses any n >= FACTOR_LIMIT (about 3.3 * 10^24) with a SizeLimitError:
 below that bound the Miller-Rabin witnesses prove primality, so a
 factorization is exact; above it one could silently be wrong.
@@ -54,7 +57,7 @@ def _least_factor_table() -> bytearray:
     """Byte m >> 1, for odd m < _TABLE_BOUND, holds 1 + the index in
     _SMALL_PRIMES of m's least prime factor, or 0 when m is 1 or prime.  The
     primes run descending from m = p^2 on, so the least one writes last;
-    172 primes fit in a byte."""
+    172 primes fit in a byte.  factorize and _ideal_count_walk read it."""
     size = _TABLE_BOUND >> 1
     table = bytearray(size)
     for i in range(len(_SMALL_PRIMES) - 1, 0, -1):
@@ -182,6 +185,35 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             e += 1
         out.append((p, e))
     return tuple(out)
+
+
+def _ideal_count_walk(n: int) -> int:
+    """d_n, the number of ideals of norm n in Q(sqrt(-3)), for
+    1 <= n < _TABLE_BOUND, in one pass over _LEAST_FACTOR that builds no
+    factorization.  p^k || n contributes k + 1 for p = 1 (mod 3), 1 for
+    p = 3 and for p = 2 (mod 3) with k even, and 0 for p = 2 (mod 3) with
+    k odd, which ends the walk: first at p = 2, from the low bits of n."""
+    k = (n & -n).bit_length() - 1  # v_2(n)
+    if k & 1:
+        return 0
+    m = n >> k
+    count = 1
+    while m > 1:
+        i = _LEAST_FACTOR[m >> 1]
+        if not i:  # m is prime
+            r = m % 3
+            return count * 2 if r == 1 else 0 if r == 2 else count
+        p = _SMALL_PRIMES[i - 1]
+        m //= p
+        k = 1
+        while m % p == 0:
+            m //= p
+            k += 1
+        if p % 3 == 1:
+            count *= k + 1
+        elif k & 1 and p != 3:
+            return 0
+    return count
 
 
 def divisors(n: int) -> list[int]:

@@ -5,9 +5,10 @@ the sigma_0(P_1(.)) closed form."""
 from __future__ import annotations
 
 from itertools import count
-from math import isqrt
+from math import isqrt, prod
 
-from .arith import InconsistencyError, SizeLimitError, divisors, factorize
+from .arith import (_TABLE_BOUND, InconsistencyError, SizeLimitError,
+                    _ideal_count_walk, factorize)
 
 # ideal_count_oracle answers every N < ORACLE_LIMIT; its table takes one byte
 # per N, so 16 MB at the limit.
@@ -78,10 +79,17 @@ def ideal_count(n: int) -> int:
     """Number of integral ideals of norm n in Q(sqrt(-3)).
 
     Multiplicative: p^k contributes k+1 for p = 1 mod 3, 1 for p = 3,
-    1 for p = 2 mod 3 with k even, and kills the count for k odd.
+    1 for p = 2 mod 3 with k even, and kills the count for k odd.  Below
+    arith._TABLE_BOUND = 2^20 one pass over the least-factor table
+    (arith._ideal_count_walk) divides out each prime as it reads it and
+    returns 0 at the first p = 2 mod 3 with k odd, at an odd v_2(n) before
+    any table read; it never calls factorize.  At and above 2^20 the count
+    runs over factorize(n), so it refuses n >= FACTOR_LIMIT.
     """
     if n < 1:
         raise ValueError(f"norm must be positive, got {n}")
+    if n < _TABLE_BOUND:
+        return _ideal_count_walk(n)
     count = 1
     for p, k in factorize(n):
         if p % 3 == 1:
@@ -174,8 +182,9 @@ def p1_part(n: int) -> int:
 
 
 def formula3_count(n: int) -> int:
-    """The closed-form divisor count sigma_0(P_1(n))."""
-    return len(divisors(p1_part(n)))
+    """The closed-form divisor count sigma_0(P_1(n)): the product of k + 1
+    over the p^k || n with p = 1 mod 3, from one factorize(n)."""
+    return prod(k + 1 for p, k in factorize(n) if p % 3 == 1)
 
 
 def mod2_part_is_square(n: int) -> bool:

@@ -68,6 +68,22 @@ def divisor_sum_chi3(n: int) -> int:
     return sum((0, 1, -1)[d % 3] for d in range(1, n + 1) if n % d == 0)
 
 
+def ideal_count_factorize(n: int) -> int:
+    """d_n by the closed form over factorize(n): p^k contributes k + 1 for
+    p = 1 (mod 3), 1 for p = 3 and for p = 2 (mod 3) with k even, 0 for
+    p = 2 (mod 3) with k odd.  The loop eisenstein.ideal_count runs at and
+    above 2^20, here for every n >= 1."""
+    if n < 1:
+        raise ValueError(f"norm must be positive, got {n}")
+    count = 1
+    for p, k in factorize(n):
+        if p % 3 == 1:
+            count *= k + 1
+        elif p != 3 and k % 2 == 1:
+            return 0
+    return count
+
+
 def divisor_sums_per_k(size: int) -> bytearray:
     """d_N = sum_{d|N} chi3(d) at index N for 0 < N < size (0 at index 0),
     mod 256, by the Dirichlet-convolution sieve with one slice per k:

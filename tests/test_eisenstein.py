@@ -3,12 +3,20 @@ import sympy
 from hypothesis import given, strategies as st
 
 from cubictrace import arith, eisenstein
-from cubictrace.arith import InconsistencyError, SizeLimitError, is_prime
+from cubictrace.arith import (FACTOR_LIMIT, InconsistencyError, SizeLimitError,
+                              is_prime)
 from cubictrace.eisenstein import (ORACLE_LIMIT, _cornacchia, _mul,
                                    _valuation_at, formula3_count, ideal_count,
                                    ideal_count_oracle, mod2_part_is_square,
                                    p1_part, series_coeff)
-from oracles import divisor_sum_chi3, divisor_sums_per_k
+from oracles import divisor_sum_chi3, divisor_sums_per_k, ideal_count_factorize
+
+# 2^20: ideal_count walks the least-factor table below it, factors at and above
+_TABLE_BOUND = arith._TABLE_BOUND
+
+
+def _refuse(n):
+    raise AssertionError(f"factored {n}")
 
 
 class TestZw:
@@ -65,6 +73,29 @@ class TestIdealCount:
         with pytest.raises(ValueError):
             ideal_count(0)
 
+    @pytest.mark.parametrize("ns", [
+        range(1, 1 << 18),
+        range(_TABLE_BOUND - (1 << 12), _TABLE_BOUND + (1 << 12)),
+        # the least N with d_N = 256
+        [7**3 * 13 * 19 * 31 * 37 * 43 * 61],
+        # two primes above 2^10 with a product >= 2^20, in each class mod 3
+        [p * q for p in (1031, 1033, 1039, 1049, 1051, 1061, 2053, 4099)
+         for q in (1031, 1033, 1039, 1049, 1051, 1061, 2053, 4099)],
+        # 2^k * m with k odd and k even, on both sides of 2^20
+        [(1 << k) * m for k in range(1, 25)
+         for m in (1, 3, 7, 13, 49, 91, 1033, 4099, 1031 * 1033)],
+    ], ids=["below-2^18", "straddling-2^20", "d-256", "two-primes", "powers-of-2"])
+    def test_matches_factorize_reference(self, ns):
+        assert [ideal_count(n) for n in ns] == \
+            [ideal_count_factorize(n) for n in ns]
+
+    def test_errors_match_factorize_reference(self):
+        for f in (ideal_count, ideal_count_factorize):
+            with pytest.raises(ValueError, match="norm must be positive"):
+                f(0)
+            with pytest.raises(SizeLimitError, match="factorization is exact"):
+                f(FACTOR_LIMIT)
+
     @given(st.integers(min_value=1, max_value=10**4))
     def test_oracle_agreement(self, n):
         assert ideal_count(n) == ideal_count_oracle(n)
@@ -101,26 +132,40 @@ class TestOracle:
 
     def test_never_factors(self, monkeypatch):
         expected = [ideal_count(n) for n in range(1, 10**4 + 1)]
-
-        def refuse(n):
-            raise AssertionError(f"factored {n}")
-
         for module in (arith, eisenstein):
-            monkeypatch.setattr(module, "factorize", refuse)
-            monkeypatch.setattr(module, "divisors", refuse)
+            monkeypatch.setattr(module, "factorize", _refuse)
+        monkeypatch.setattr(arith, "divisors", _refuse)
         assert [ideal_count_oracle(n) for n in range(1, 10**4 + 1)] == expected
 
+    def test_walk_matches_oracle_and_never_factors(self, monkeypatch):
+        # every N the least-factor walk serves, and 2^12 past it where
+        # ideal_count factors; the walk answers with factorize refused
+        top = _TABLE_BOUND + (1 << 12)
+        above = [ideal_count(n) for n in range(_TABLE_BOUND, top)]
+        for module in (arith, eisenstein):
+            monkeypatch.setattr(module, "factorize", _refuse)
+        below = [ideal_count(n) for n in range(1, _TABLE_BOUND)]
+        assert below + above == [ideal_count_oracle(n) for n in range(1, top)]
+
     def test_catches_a_wrong_factorization(self, monkeypatch):
-        # 1009 * 1033 = 1 (mod 3) reported as a prime = 1 (mod 3): the closed
-        # form counts 2 ideals, the divisor sum still 4
-        n, factorize = 1009 * 1033, arith.factorize
+        # a product of two primes = 1 (mod 3) reported as a prime = 1 (mod 3):
+        # the closed form counts 2 ideals, the divisor sum still 4.  Below
+        # 2^20 ideal_count reads its primes from the least-factor table, at
+        # and above it from factorize, so the lie is planted in each.
+        small, large = 1009 * 1033, 1021 * 1033
+        assert small < _TABLE_BOUND <= large < ORACLE_LIMIT
+        table = bytearray(arith._LEAST_FACTOR)
+        table[small >> 1] = 0  # marks small as prime
+        monkeypatch.setattr(arith, "_LEAST_FACTOR", table)
+        factorize = arith.factorize
 
         def planted(m):
-            return ((n, 1),) if m == n else factorize(m)
+            return ((large, 1),) if m == large else factorize(m)
 
         for module in (arith, eisenstein):
             monkeypatch.setattr(module, "factorize", planted)
-        assert (ideal_count(n), ideal_count_oracle(n)) == (2, 4)
+        for n in (small, large):
+            assert (ideal_count(n), ideal_count_oracle(n)) == (2, 4), n
 
     def test_size_limit(self):
         for n in (ORACLE_LIMIT, 10**30):
