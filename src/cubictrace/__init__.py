@@ -2,9 +2,9 @@
 toric height, classification by root field, and verification that the counts
 per height match ideal counts in Q(sqrt(-3))."""
 
-from .arith import InconsistencyError, divisors, factorize, is_prime
+from .arith import InconsistencyError, factorize, is_prime
 from .eisenstein import (formula3_count, ideal_count, ideal_count_oracle,
-                         p1_part, series_coeff)
+                         series_coeff)
 from .enumeration import (EnumerationRow, b_range, enumerate_all,
                           enumerate_field, min_height)
 from .fields import FieldClass, conductor_of, field_invariants, is_isomorphic
@@ -19,9 +19,8 @@ from .verify import (VerificationReport, formula3_divergences,
 __version__ = "1.0.0"
 
 __all__ = [
-    "InconsistencyError", "divisors", "factorize", "is_prime",
-    "formula3_count", "ideal_count", "ideal_count_oracle", "p1_part",
-    "series_coeff",
+    "InconsistencyError", "factorize", "is_prime",
+    "formula3_count", "ideal_count", "ideal_count_oracle", "series_coeff",
     "EnumerationRow", "b_range", "enumerate_all", "enumerate_field",
     "min_height",
     "FieldClass", "conductor_of", "field_invariants", "is_isomorphic",

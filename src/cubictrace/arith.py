@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: primality, factorization and divisors.
+"""Exact integer arithmetic: primality and factorization.
 
 `factorize` trial-divides by the primes below TRIAL_DIVISION_BOUND = 2^10
 while the cofactor is at least 2^20.  Below 2^20 those primes decide
@@ -139,6 +139,14 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
     _factor_into(n // d, acc)
 
 
+def _past_limit(n: int) -> SizeLimitError:
+    """factorize's refusal of n >= FACTOR_LIMIT, also raised by the callers
+    that keep to its limit without factoring n."""
+    return SizeLimitError(f"cannot factor {n}: factorization is exact only "
+                          f"below {FACTOR_LIMIT} (about 3.3e24), where its "
+                          "primality test is proven")
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factor 1 <= n < FACTOR_LIMIT into its (prime, exponent) pairs, primes
     ascending (none for 1): trial division by the primes below
@@ -148,9 +156,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     if n >= FACTOR_LIMIT:
-        raise SizeLimitError(f"cannot factor {n}: factorization is exact only "
-                             f"below {FACTOR_LIMIT} (about 3.3e24), where "
-                             "its primality test is proven")
+        raise _past_limit(n)
     out = []
     m = n
     if m >= _TABLE_BOUND:
@@ -215,17 +221,3 @@ def _ideal_count_walk(n: int) -> int:
             return 0
     return count
 
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted ascending: for each p^e, e blocks,
-    each p times the block before it."""
-    if n < 1:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
-    divs = [1]
-    for p, e in factorize(n):
-        block = divs
-        for _ in range(e):
-            block = [d * p for d in block]
-            divs += block
-    divs.sort()
-    return divs

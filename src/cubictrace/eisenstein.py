@@ -42,7 +42,8 @@ def _one_mod_3(u: tuple[int, int]) -> tuple[int, int]:
 
 def _cornacchia(p: int) -> tuple[int, int]:
     """The prime pi = 1 (mod 3) of Z[w] of norm p, for a prime p = 1 (mod 3);
-    the census walk and the per-cubic valuations both use this one.
+    the census walk, the per-field scan and the per-cubic valuations all use
+    this one.
 
     Cornacchia's algorithm (Cohen, GTM 138, 1.5.2) solves u^2 + 3v^2 = p from
     a square root of -3 mod p; then u + v*sqrt(-3) = (u + v) + 2v*w.  That
@@ -168,17 +169,6 @@ def series_coeff(n: int) -> int:
     if n % 3 or n < 1:
         return ideal_count(n)
     return 0  # d_{3m} = d_m: 3 ramifies, so one ideal has norm 3
-
-
-def p1_part(n: int) -> int:
-    """Largest divisor of n composed only of primes = 1 mod 3."""
-    if n < 1:
-        raise ValueError(f"p1_part requires n >= 1, got {n}")
-    out = 1
-    for p, k in factorize(n):
-        if p % 3 == 1:
-            out *= p**k
-    return out
 
 
 def formula3_count(n: int) -> int:

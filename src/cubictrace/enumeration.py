@@ -7,18 +7,24 @@ h (Cornacchia for each split prime) instead of testing every b in the
 interval b_range(a).  One walk, _square_disc_alphas, takes them by the
 pattern of their valuations j_i mod 3 at the split primes, which fixes the
 field (see `fields`): one key per pattern, one alpha per conjugate pair and
-no reducible cubic.  A field's cubics at a are one pattern, which _members
-walks alone.  Every such alpha gives an integer b, by the mod-27
+no reducible cubic.  Every such alpha gives an integer b, by the mod-27
 congruence proved there.
+
+A field's cubics need no walk.  For the key k = (c, chi = (e_p)), put
+gamma_k = prod_{p | c} pi_p^(e_p) conj(pi_p)^(3 - e_p), of norm c^3.  The
+cubics of k at H^2 = c*N are alpha = -gamma_k * beta^3, one for each
+primary beta (beta = 1 mod 3) of norm N, so one for each ideal of norm N:
+the identity d_N = #{cubics} made constructive.  enumerate_field scans the
+beta over a range of N; _members builds them at one a from N's factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, prod
+from math import isqrt
 
-from .arith import InconsistencyError, factorize
+from .arith import FACTOR_LIMIT, InconsistencyError, _past_limit, factorize
 from .eisenstein import _conj, _cornacchia, _mul, series_coeff
 from .fields import FieldClass, check_key
 from .poly import TraceOnePoly
@@ -51,20 +57,38 @@ def b_range(a: int) -> range:
 def _factor_row(p: int, e: int) -> tuple:
     """The choices at a split prime p exactly dividing h as p^e: row[r] holds
     pi^j conj(pi)^(3e-j) for the j = r (mod 3) in 0 .. 3e, pi = _cornacchia(p).
-    Memoized: Cornacchia and the powers run once per (p, e), not per a."""
+    Each is p^min(j, 3e-j) times pi^(2j-3e) or conj(pi)^(3e-2j), so the row
+    takes the 3e - 1 products pi^2 .. pi^(3e) in Z[w].  Memoized: Cornacchia
+    and the powers run once per (p, e), not per a."""
+    n = 3 * e
     pi = _cornacchia(p)
-    pows = [(1, 0)]
-    for _ in range(3 * e):
+    pows = [(1, 0), pi]
+    for _ in range(n - 1):
         pows.append(_mul(pows[-1], pi))
-    factors = tuple(_mul(pows[j], _conj(pows[3 * e - j]))
-                    for j in range(3 * e + 1))
-    return factors[0::3], factors[1::3], factors[2::3]
+    factors = []
+    for j in range(n + 1):
+        s = p ** min(j, n - j)
+        x, y = pows[2 * j - n] if 2 * j >= n else _conj(pows[n - 2 * j])
+        factors.append((s * x, s * y))
+    return tuple(factors[0::3]), tuple(factors[1::3]), tuple(factors[2::3])
 
 
-def _square_disc_alphas(a: int, k: FieldClass | None = None):
+def _bad_alpha(alpha: tuple[int, int], a: int) -> InconsistencyError:
+    """The error for an alpha of norm (1 - 3a)^3 whose b fails a check: first
+    q = 9a - 2 (mod 27), then 27 disc = 4h^3 - q^2 > 0."""
+    x, y = alpha
+    q = 2 * x - y
+    b, off = divmod(q - 9 * a + 2, 27)
+    if off:
+        return InconsistencyError(f"alpha = {x} + {y}w of norm (1 - 3a)^3 has "
+                                  f"q = {q} != 9a - 2 (mod 27) at a = {a}")
+    return InconsistencyError(f"alpha = {x} + {y}w gives b = {b} with "
+                              f"disc <= 0 at a = {a}")
+
+
+def _square_disc_alphas(a: int) -> list:
     """(b, k) for each irreducible t^3 - t^2 + a t + b whose discriminant is a
-    positive square, k the FieldClass of its root field, in walk order; given
-    a key k, only the cubics with root field k.
+    positive square, k the FieldClass of its root field, in walk order.
 
     With h = 1 - 3a and q = 9a + 27b - 2, disc = (4h^3 - q^2)/27, so
     disc = s^2 exactly when alpha = (q + 3s*sqrt(-3))/2 = x + y*w, with
@@ -81,12 +105,13 @@ def _square_disc_alphas(a: int, k: FieldClass | None = None):
     The pattern of the j_i mod 3 fixes the field (see `fields`): c is the
     product of the p_i with j_i != 0 and chi = prod (./pi_i)_3^(j_i).
     Conjugation (j_i -> 3e_i - j_i) negates it, so the walk takes each pattern
-    whose first nonzero entry is 1, builds its FieldClass once and yields
+    whose first nonzero entry is 1, builds its FieldClass once and lists
     all its alpha.  It never walks the all-zero pattern: the reducible cubics
-    and the rational alpha (disc = 0).  Given k, it walks k's pattern alone:
-    e_p at each p | c and 0 at the other split primes.  A key whose conductor
-    is not the product of len(character) split primes of h has no pattern
-    and no cubics at a.
+    and the rational alpha (disc = 0).  The walk is depth first, from a stack
+    of pattern prefixes, and holds the alpha of one prefix per level and
+    choice, never a whole level.  At the last prime it reads q off each
+    product without building the product: Tr(x f) = x0 (2f0 - f1) -
+    x1 (f0 + f1) for x = x0 + x1 w and f = f0 + f1 w.
 
     Every alpha = 2 (mod 3) of norm h^3 has q = 9a - 2 (mod 27), so b is an
     integer.  Since 3 | y, q^2 = 4h^3 - 3y^2 = 4h^3 (mod 27), and
@@ -103,48 +128,43 @@ def _square_disc_alphas(a: int, k: FieldClass | None = None):
     for p, e in factorize(h):
         if p % 3 == 2:
             if e % 2:
-                return
+                return []
             rational *= (-p) ** (3 * e // 2)
         else:
             rows.append((p, _factor_row(p, e)))
-    if k is not None:
-        ps = [p for p, _ in rows if k.conductor % p == 0]
-        if prod(ps) != k.conductor or len(ps) != len(k.character):
-            return
-        fixed = dict(zip(ps, k.character))
+    out = []
+    if not rows:
+        return out
     last = len(rows) - 1
-    four_h3 = 4 * h**3
-
-    def walk(i: int, alphas: list, c: int, es: tuple):
-        if i > last:
-            key = FieldClass(c, es)
-            for x, y in alphas:
-                q = 2 * x - y
-                b, off = divmod(q - 9 * a + 2, 27)
-                if off:
-                    raise InconsistencyError(
-                        f"alpha = {x} + {y}w of norm (1 - 3a)^3 has q = {q} "
-                        f"!= 9a - 2 (mod 27) at a = {a}")
-                if q * q >= four_h3:
-                    raise InconsistencyError(f"alpha = {x} + {y}w gives b = "
-                                             f"{b} with disc <= 0 at a = {a}")
-                yield b, key
-            return
+    q0, four_h3 = 9 * a - 2, 4 * h**3
+    stack = [(0, [(rational, 0)], 1, ())]  # (i, alphas, c, es) before prime i
+    while stack:
+        i, alphas, c, es = stack.pop()
         p, row = rows[i]  # r = 2 before any nonzero r: the conjugate of r = 1
-        for r in ((fixed.get(p, 0),) if k is not None else (0, 1, 2) if es
-                  else (0, 1) if i < last else (1,)):
-            yield from walk(i + 1, [_mul(x, f) for x in alphas for f in row[r]],
-                            c * p if r else c, (*es, r) if r else es)
-
-    if rows:
-        yield from walk(0, [(rational, 0)], 1, ())
+        for r in (0, 1, 2) if es else (0, 1) if i < last else (1,):
+            cr, er = (c * p, (*es, r)) if r else (c, es)
+            if i < last:
+                prefix = [_mul(x, f) for x in alphas for f in row[r]]
+                stack.append((i + 1, prefix, cr, er))
+                continue
+            key = FieldClass(cr, er)
+            for f0, f1 in row[r]:
+                u, v = 2 * f0 - f1, f0 + f1
+                for x0, x1 in alphas:
+                    q = x0 * u - x1 * v
+                    b, off = divmod(q - q0, 27)
+                    if off or q * q >= four_h3:
+                        raise _bad_alpha(_mul((x0, x1), (f0, f1)), a)
+                    out.append((b, key))
+    return out
 
 
 def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...]:
     """All cyclic trace-one cubics with this a, each with its field class,
     ascending in b.  Not memoized."""
-    return tuple((TraceOnePoly(a, b), k)
-                 for b, k in sorted(_square_disc_alphas(a)))
+    pairs = _square_disc_alphas(a)
+    pairs.sort()
+    return tuple((TraceOnePoly(a, b), k) for b, k in pairs)
 
 
 @dataclass(frozen=True)
@@ -165,10 +185,57 @@ class EnumerationRow:
         return None if self.a is None else 1 - 3 * self.a
 
 
+def _neg_gamma(ps: tuple[int, ...], character: tuple[int, ...]) -> tuple:
+    """-gamma_k for the key with primes ps and exponents character, where
+    gamma_k = prod pi_p^(e_p) conj(pi_p)^(3 - e_p), of norm c^3: its factor
+    at p is row e_p of _factor_row(p, 1).  The cubic of k at a primary
+    beta has alpha = -gamma_k * beta^3."""
+    g = (-1, 0)
+    for p, e in zip(ps, character):
+        g = _mul(g, _factor_row(p, 1)[e][0])
+    return g
+
+
 def _members(k: FieldClass, a: int) -> tuple[TraceOnePoly, ...]:
-    """The cyclic cubics at a with root field k, one pattern of the walk."""
-    return tuple(TraceOnePoly(a, b)
-                 for b in sorted(b for b, _k in _square_disc_alphas(a, k)))
+    """The cyclic cubics at a with root field k, ascending in b: one
+    alpha = -gamma_k * beta^3 for each primary beta of norm N = (1 - 3a)/c.
+    beta's factor at a split p^e || N is pi^i conj(pi)^(e-i), 0 <= i <= e,
+    whose cubes are row 0 of _factor_row(p, e); at an inert p^e it is
+    (-p)^(e/2) = 1 (mod 3), and an odd e leaves no beta.  A key that fits no
+    field at h = 1 - 3a (c does not divide h, or is not the product of
+    len(chi) primes = 1 (mod 3)) has no cubics.  Refuses h >= FACTOR_LIMIT,
+    where the census at a stops, whether or not c divides h."""
+    if a > 0:
+        raise ValueError(f"enumeration requires a <= 0, got a = {a}")
+    h = 1 - 3 * a
+    if h >= FACTOR_LIMIT:
+        raise _past_limit(h)
+    n, rest = divmod(h, k.conductor)
+    if rest:
+        return ()
+    try:
+        ps = check_key(k)
+    except ValueError:
+        return ()
+    alphas = [_neg_gamma(ps, k.character)]
+    for p, e in factorize(n):
+        if p % 3 == 2:
+            if e % 2:
+                return ()
+            r = (-p) ** (3 * e // 2)
+            alphas = [(r * x, r * y) for x, y in alphas]
+        else:
+            alphas = [_mul(x, f) for x in alphas for f in _factor_row(p, e)[0]]
+    q0, four_h3 = 9 * a - 2, 4 * h**3
+    bs = []
+    for x, y in alphas:
+        q = 2 * x - y
+        b, off = divmod(q - q0, 27)
+        if off or q * q >= four_h3:
+            raise _bad_alpha((x, y), a)
+        bs.append(b)
+    bs.sort()
+    return tuple(TraceOnePoly(a, b) for b in bs)
 
 
 def _row(k: FieldClass, n: int) -> EnumerationRow:
@@ -181,11 +248,54 @@ def _row(k: FieldClass, n: int) -> EnumerationRow:
 
 
 def enumerate_field(k: FieldClass, n_max: int) -> list[EnumerationRow]:
-    """Rows for N = 1 .. n_max; non-admissible N yield empty rows."""
+    """Rows for N = 1 .. n_max; non-admissible N yield empty rows.  Since
+    c = 1 (mod 3), N is admissible exactly when N = 1 (mod 3), which is the
+    norm of every primary beta.
+
+    One scan, which factors no c*N, takes each primary beta = x + y w
+    (x = 1, y = 0 mod 3) with N(beta) = ((2x - y)^2 + 3y^2)/4 <= n_max: for
+    each y with 3y^2 <= 4 n_max, the x with |2x - y| <= isqrt(4 n_max - 3y^2).
+    beta gives the cubic of alpha = -gamma_k * beta^3 at N = N(beta), with
+    beta^3 = U + V w, U = x^3 - 3xy^2 + y^3 and V = 3xy(x - y); q, the trace
+    of alpha, is linear in (U, V).  Like the rest of the library it keeps
+    below FACTOR_LIMIT: it refuses, before any work, an n_max that reaches
+    the least admissible N with c*N >= FACTOR_LIMIT, naming that c*N."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    check_key(k)
-    return [_row(k, n) for n in range(1, n_max + 1)]
+    ps = check_key(k)
+    c = k.conductor
+    n_past = -(-FACTOR_LIMIT // c)
+    n_past += (1 - n_past) % 3
+    if n_past <= n_max:
+        raise _past_limit(c * n_past)
+    g = _neg_gamma(ps, k.character)
+    gu, gv = 2 * g[0] - g[1], -g[0] - g[1]  # q = gu U + gv V
+    bs_at = [[] for _ in range(n_max // 3 + 1)]  # the b at N = 3i + 1 at i
+    y_max = isqrt(4 * n_max // 3)
+    for y in range(-y_max + y_max % 3, y_max + 1, 3):
+        s = isqrt(4 * n_max - 3 * y * y)
+        lo = -((s - y) // 2)
+        yy, y3 = y * y, y**3
+        for x in range(lo + (1 - lo) % 3, (y + s) // 2 + 1, 3):
+            n = x * x - x * y + yy
+            U, V = x * (x * x - 3 * yy) + y3, 3 * x * y * (x - y)
+            q = gu * U + gv * V
+            h = c * n
+            b, off = divmod(q + 3 * h - 1, 27)  # 9a - 2 = 1 - 3h
+            if off or q * q >= 4 * h**3:
+                raise _bad_alpha(_mul(g, (U, V)), (1 - h) // 3)
+            bs_at[n // 3].append(b)
+    rows = []
+    for n in range(1, n_max + 1):
+        if n % 3 == 1:
+            a = (1 - c * n) // 3
+            bs = bs_at[n // 3]
+            bs.sort()
+            polys = tuple(TraceOnePoly(a, b) for b in bs)
+            rows.append(EnumerationRow(n, a, polys, series_coeff(n)))
+        else:
+            rows.append(EnumerationRow(n, None, (), series_coeff(n)))
+    return rows
 
 
 def min_height(k: FieldClass) -> int:

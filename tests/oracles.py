@@ -6,7 +6,7 @@ import itertools
 import math
 
 from cubictrace.arith import InconsistencyError, factorize, is_prime
-from cubictrace.eisenstein import _cornacchia
+from cubictrace.eisenstein import _conj, _cornacchia, _mul
 from cubictrace.enumeration import _square_disc_alphas, b_range
 from cubictrace.fields import FieldClass
 from cubictrace.padic import (SplittingType, _fp_roots, _pnorm, roots_mod_p,
@@ -95,6 +95,32 @@ def divisor_sums_per_k(size: int) -> bytearray:
         if k % 3:
             d[k::k] = d[k::k].translate(up if k % 3 == 1 else down)
     return d
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, sorted ascending: for each p^e, e blocks,
+    each p times the block before it."""
+    if n < 1:
+        raise ValueError(f"divisors requires n >= 1, got {n}")
+    divs = [1]
+    for p, e in factorize(n):
+        block = divs
+        for _ in range(e):
+            block = [d * p for d in block]
+            divs += block
+    divs.sort()
+    return divs
+
+
+def p1_part(n: int) -> int:
+    """Largest divisor of n composed only of primes = 1 mod 3."""
+    if n < 1:
+        raise ValueError(f"p1_part requires n >= 1, got {n}")
+    out = 1
+    for p, k in factorize(n):
+        if p % 3 == 1:
+            out *= p**k
+    return out
 
 
 def euler_phi(n: int) -> int:
@@ -329,6 +355,71 @@ def _square_disc_bs(a: int) -> list[int]:
     """The b of enumeration._square_disc_alphas(a), ascending: the fast
     path, which yields only the cyclic (irreducible) cubics."""
     return sorted(b for b, _k in _square_disc_alphas(a))
+
+
+@functools.lru_cache(maxsize=None)
+def factor_row_powers(p: int, e: int) -> tuple:
+    """row[r] holds pi^j conj(pi)^(3e-j) for the j = r (mod 3) in 0 .. 3e,
+    pi = _cornacchia(p), each the product of two powers: 6e + 1 products."""
+    pi = _cornacchia(p)
+    pows = [(1, 0)]
+    for _ in range(3 * e):
+        pows.append(_mul(pows[-1], pi))
+    factors = tuple(_mul(pows[j], _conj(pows[3 * e - j]))
+                    for j in range(3 * e + 1))
+    return factors[0::3], factors[1::3], factors[2::3]
+
+
+def square_disc_alphas_keyed(a: int, k: FieldClass | None = None):
+    """(b, k) for each cyclic t^3 - t^2 + a t + b, by the recursive walk over
+    the residue patterns j_i mod 3 at the split primes of h = 1 - 3a (see
+    enumeration._square_disc_alphas); given a key k, only k's pattern: e_p
+    at each p | c and 0 at the other split primes, and no cubics when c is
+    not the product of len(character) split primes of h."""
+    if a > 0:
+        raise ValueError(f"enumeration requires a <= 0, got a = {a}")
+    h = 1 - 3 * a
+    rational = -1
+    rows = []
+    for p, e in factorize(h):
+        if p % 3 == 2:
+            if e % 2:
+                return
+            rational *= (-p) ** (3 * e // 2)
+        else:
+            rows.append((p, factor_row_powers(p, e)))
+    if k is not None:
+        ps = [p for p, _ in rows if k.conductor % p == 0]
+        if math.prod(ps) != k.conductor or len(ps) != len(k.character):
+            return
+        fixed = dict(zip(ps, k.character))
+    last = len(rows) - 1
+    four_h3 = 4 * h**3
+
+    def walk(i: int, alphas: list, c: int, es: tuple):
+        if i > last:
+            key = FieldClass(c, es)
+            for x, y in alphas:
+                q = 2 * x - y
+                b, off = divmod(q - 9 * a + 2, 27)
+                if off or q * q >= four_h3:
+                    raise InconsistencyError(f"alpha = {x} + {y}w fails at a = {a}")
+                yield b, key
+            return
+        p, row = rows[i]  # r = 2 before any nonzero r: the conjugate of r = 1
+        for r in ((fixed.get(p, 0),) if k is not None else (0, 1, 2) if es
+                  else (0, 1) if i < last else (1,)):
+            yield from walk(i + 1, [_mul(x, f) for x in alphas for f in row[r]],
+                            c * p if r else c, (*es, r) if r else es)
+
+    if rows:
+        yield from walk(0, [(rational, 0)], 1, ())
+
+
+def members_keyed(k: FieldClass, a: int) -> tuple[TraceOnePoly, ...]:
+    """The cubics at a with root field k, ascending in b, by the keyed walk."""
+    return tuple(TraceOnePoly(a, b)
+                 for b in sorted(b for b, _k in square_disc_alphas_keyed(a, k)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from cubictrace import arith
 from cubictrace.arith import (FACTOR_LIMIT, TRIAL_DIVISION_BOUND,
-                              SizeLimitError, divisors, factorize, is_prime)
-from oracles import (euler_phi, factorize_trial, least_prime_factors, primes,
-                     subgroup_closure)
+                              SizeLimitError, factorize, is_prime)
+from oracles import (divisors, euler_phi, factorize_trial, least_prime_factors,
+                     primes, subgroup_closure)
 
 # primes on both sides of the trial-division bound 1024
 _STRADDLING = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)

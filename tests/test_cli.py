@@ -13,7 +13,7 @@ import inputs
 import pytest
 from hypothesis import given, strategies as st
 
-from cubictrace import cli, eisenstein, enumeration
+from cubictrace import arith, cli, eisenstein, enumeration, fields
 from cubictrace.arith import FACTOR_LIMIT
 from cubictrace.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_USAGE, main
 from cubictrace.eisenstein import ORACLE_LIMIT, ideal_count, series_coeff
@@ -416,16 +416,21 @@ class TestVerify:
         assert code == 0
         assert "PASS (43/43 checks)" in out
 
-    def test_check_norms_walks_each_a_once(self, capsys, monkeypatch):
-        # one walk per admissible N, shared by both kinds of check
-        calls = []
-        walk = enumeration._square_disc_alphas
-        monkeypatch.setattr(enumeration, "_square_disc_alphas",
-                            lambda a, k=None: calls.append(a) or walk(a, k))
+    def test_check_norms_neither_walks_nor_factors(self, capsys, monkeypatch):
+        # the rows come from the scan over primary beta, shared by both kinds
+        # of check: no census walk, and no c*N factored at any admissible N
+        # past N = 1, whose c*N = 7 is the conductor that keys the field
+        walks, factored = [], []
+        monkeypatch.setattr(enumeration, "_square_disc_alphas", walks.append)
+        factorize = arith.factorize
+        for module in (arith, eisenstein, enumeration, fields):
+            monkeypatch.setattr(module, "factorize",
+                                lambda n: factored.append(n) or factorize(n))
         code, out, _ = run(capsys, "verify", "--field", K49_POLY,
                            "--max-norm", "43", "--check-norms")
         assert code == 0 and "PASS (61/61 checks)" in out
-        assert calls == [(1 - 7 * n) // 3 for n in range(1, 44) if n % 3 == 1]
+        assert walks == [] and factored
+        assert not set(factored) & {7 * n for n in range(4, 44, 3)}
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--field", K169_POLY,

@@ -8,8 +8,9 @@ from cubictrace.arith import (FACTOR_LIMIT, InconsistencyError, SizeLimitError,
 from cubictrace.eisenstein import (ORACLE_LIMIT, _cornacchia, _mul,
                                    _valuation_at, formula3_count, ideal_count,
                                    ideal_count_oracle, mod2_part_is_square,
-                                   p1_part, series_coeff)
-from oracles import divisor_sum_chi3, divisor_sums_per_k, ideal_count_factorize
+                                   series_coeff)
+from oracles import (divisor_sum_chi3, divisor_sums_per_k,
+                     ideal_count_factorize, p1_part)
 
 # 2^20: ideal_count walks the least-factor table below it, factors at and above
 _TABLE_BOUND = arith._TABLE_BOUND
@@ -134,7 +135,6 @@ class TestOracle:
         expected = [ideal_count(n) for n in range(1, 10**4 + 1)]
         for module in (arith, eisenstein):
             monkeypatch.setattr(module, "factorize", _refuse)
-        monkeypatch.setattr(arith, "divisors", _refuse)
         assert [ideal_count_oracle(n) for n in range(1, 10**4 + 1)] == expected
 
     def test_walk_matches_oracle_and_never_factors(self, monkeypatch):

@@ -13,7 +13,8 @@ from cubictrace.fields import FieldClass, field_invariants
 from cubictrace.arith import InconsistencyError
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic, is_irreducible
 
-from oracles import _square_disc_bs, square_disc_bs_scan
+from oracles import (_square_disc_bs, factor_row_powers, members_keyed,
+                     square_disc_alphas_keyed, square_disc_bs_scan)
 
 
 def cyclic_bs_scan(a: int) -> list[int]:
@@ -87,6 +88,15 @@ class TestSquareDiscBs:
         with pytest.raises(InconsistencyError):
             _square_disc_bs(-2)
 
+    def test_factor_row_matches_powers(self):
+        # p^min(j, 3e-j) times one power of pi or conj(pi), against the
+        # product of the two powers
+        for p in range(7, 2000, 3):
+            if is_prime(p):
+                for e in range(1, 5):
+                    assert enumeration._factor_row(p, e) == \
+                        factor_row_powers(p, e), (p, e)
+
     def test_cornacchia(self):
         for p in range(7, 10**4, 3):
             if is_prime(p):
@@ -131,6 +141,14 @@ class TestPolysForA:
         keys = [k for _f, k in rows]
         assert len(rows) == (4**7 - 2**7) // 2 == 8128
         assert len(set(keys)) == len({id(k) for k in keys}) == 1093
+
+    @pytest.mark.parametrize("a_top", [-10**6, -10**9])
+    def test_matches_keyed_walk(self, a_top):
+        # the stack walk against the recursive one, on 2000 consecutive a
+        for a in range(a_top - 1999, a_top + 1):
+            expected = sorted(square_disc_alphas_keyed(a))
+            assert [(f.b, k) for f, k in classified_polys_for_a(a)] == \
+                expected, a
 
     def test_examples(self):
         assert [(f, k.conductor) for f, k in classified_polys_for_a(-2)] == \
@@ -192,6 +210,24 @@ class TestEnumerateField:
         with pytest.raises(ValueError):
             enumerate_field(k, 0)
 
+    def test_matches_keyed_walk(self):
+        # beta of norm N, from the scan and from N's factors, against the walk
+        # of k's residue pattern at every admissible N <= 1000
+        classes = [k for k in enumerate_all(-66) if k.conductor <= 200]
+        assert len(classes) == 25
+        for k in classes:
+            rows = enumerate_field(k, 1000)
+            assert [row.n for row in rows] == list(range(1, 1001))
+            for row in rows:
+                if row.n % 3 != 1:
+                    assert row.a is None and row.polys == (), (k, row.n)
+                    continue
+                a = (1 - k.conductor * row.n) // 3
+                expected = members_keyed(k, a)
+                assert row.a == a and row.polys == expected, (k, row.n)
+                assert _members(k, a) == expected, (k, a)
+                assert row.predicted == ideal_count(row.n)
+
     def test_members_is_the_filtered_census(self):
         # each class with c <= 200 has a member at H^2 = c, so a >= -66
         classes = [k for k in enumerate_all(-66) if k.conductor <= 200]
@@ -213,6 +249,21 @@ class TestEnumerateField:
         for k in (FieldClass(19, (1,)), FieldClass(7 * 19, (1, 2)),
                   FieldClass(49, (1,)), FieldClass(7 * 13 * 19, (1, 1, 1))):
             assert _members(k, -30) == ()
+
+
+    @pytest.mark.parametrize("alpha, why", [
+        ((1, 3), r"q = -1 != 9a - 2 \(mod 27\)"),
+        ((32, 3), "gives b = 3 with disc <= 0"),
+    ])
+    def test_scan_and_members_check_each_alpha(self, monkeypatch, alpha, why):
+        # with -gamma_k planted as alpha, beta = 1 at N = 1 (a = -2) gives
+        # alpha itself: q = -1 is off 9a - 2 (mod 27), and q = 61 gives b = 3
+        # with disc(-2, 3) = -87, as in the census walk's checks
+        k = FieldClass(7, (1,))
+        monkeypatch.setattr(enumeration, "_neg_gamma", lambda ps, es: alpha)
+        for run in (lambda: enumerate_field(k, 1), lambda: _members(k, -2)):
+            with pytest.raises(InconsistencyError, match=f"{why} at a = -2$"):
+                run()
 
 
 class TestMinHeight:
