@@ -87,8 +87,9 @@ def _bad_alpha(alpha: tuple[int, int], a: int) -> InconsistencyError:
 
 
 def _square_disc_alphas(a: int) -> list:
-    """(b, k) for each irreducible t^3 - t^2 + a t + b whose discriminant is a
-    positive square, k the FieldClass of its root field, in walk order.
+    """(f, k) for each irreducible f = t^3 - t^2 + a t + b whose discriminant
+    is a positive square, k the FieldClass of its root field, in walk order.
+    Each cubic is made once, here: no list of (b, k) is held beside it.
 
     With h = 1 - 3a and q = 9a + 27b - 2, disc = (4h^3 - q^2)/27, so
     disc = s^2 exactly when alpha = (q + 3s*sqrt(-3))/2 = x + y*w, with
@@ -155,7 +156,7 @@ def _square_disc_alphas(a: int) -> list:
                     b, off = divmod(q - q0, 27)
                     if off or q * q >= four_h3:
                         raise _bad_alpha(_mul((x0, x1), (f0, f1)), a)
-                    out.append((b, key))
+                    out.append((TraceOnePoly(a, b), key))
     return out
 
 
@@ -163,8 +164,8 @@ def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...
     """All cyclic trace-one cubics with this a, each with its field class,
     ascending in b.  Not memoized."""
     pairs = _square_disc_alphas(a)
-    pairs.sort()
-    return tuple((TraceOnePoly(a, b), k) for b, k in pairs)
+    pairs.sort(key=lambda pair: pair[0].b)
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)

@@ -353,8 +353,8 @@ def field_class_oracle(f):
 
 def _square_disc_bs(a: int) -> list[int]:
     """The b of enumeration._square_disc_alphas(a), ascending: the fast
-    path, which yields only the cyclic (irreducible) cubics."""
-    return sorted(b for b, _k in _square_disc_alphas(a))
+    path, which lists only the cyclic (irreducible) cubics."""
+    return sorted(f.b for f, _k in _square_disc_alphas(a))
 
 
 @functools.lru_cache(maxsize=None)
