@@ -89,7 +89,7 @@ def _bad_alpha(alpha: tuple[int, int], a: int) -> InconsistencyError:
 def _square_disc_alphas(a: int) -> list:
     """(f, k) for each irreducible f = t^3 - t^2 + a t + b whose discriminant
     is a positive square, k the FieldClass of its root field, in walk order.
-    Each cubic is made once, here: no list of (b, k) is held beside it.
+    The cubics are made here, so the census at a holds one list of pairs.
 
     With h = 1 - 3a and q = 9a + 27b - 2, disc = (4h^3 - q^2)/27, so
     disc = s^2 exactly when alpha = (q + 3s*sqrt(-3))/2 = x + y*w, with
