@@ -250,7 +250,6 @@ class TestEnumerateField:
                   FieldClass(49, (1,)), FieldClass(7 * 13 * 19, (1, 1, 1))):
             assert _members(k, -30) == ()
 
-
     @pytest.mark.parametrize("alpha, why", [
         ((1, 3), r"q = -1 != 9a - 2 \(mod 27\)"),
         ((32, 3), "gives b = 3 with disc <= 0"),
