@@ -372,6 +372,17 @@ class TestZetaCoeffs:
             "1,1,1", "2,0,0", "3,1,0", "4,1,1", "5,0,0", "6,0,0", "7,2,2",
             "8,0,0", "9,1,0"]
 
+    def test_golden_digest(self, capsys):
+        # sha256 of exit code and stdout of zeta-coeffs --max 30000 in text,
+        # csv and json, pinned from the build that wrote one row per call
+        digest = hashlib.sha256()
+        for fmt in ("text", "csv", "json"):
+            code, out, _ = run(capsys, "zeta-coeffs", "--max", "30000",
+                               "--format", fmt)
+            digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "efe0ee5ebd039a5755a561c542bae1c97066332a44feaafd7e016af65f985808")
+
     def test_oracle_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["zeta-coeffs", "--max", "10", "--oracle"])
