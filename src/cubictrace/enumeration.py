@@ -20,7 +20,7 @@ beta over a range of N; _members builds them at one a from N's factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
 
@@ -168,14 +168,12 @@ def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class EnumerationRow:
-    """Census of F_K members at one normalized height N (H^2 = c*N)."""
+class EnumerationRow(namedtuple("EnumerationRow", "n a polys predicted")):
+    """Census of F_K members at one normalized height N (H^2 = c*N), as an
+    immutable named tuple.  a is None, and polys is (), at an N where no
+    integer a has 1 - 3a = c*N."""
 
-    n: int
-    a: int | None
-    polys: tuple[TraceOnePoly, ...]
-    predicted: int
+    __slots__ = ()
 
     @property
     def count(self) -> int:

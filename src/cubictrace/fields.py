@@ -13,7 +13,7 @@ single cubic, j comes from dividing alpha by pi at the primes of gcd(q, s)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 
 from .arith import InconsistencyError, SizeLimitError, factorize
@@ -85,26 +85,30 @@ def _cube_labels(p: int) -> bytes:
         bytes((3 - label_g, 0, label_g, _NON_UNIT)).ljust(256, b"\0"))
 
 
-@dataclass(frozen=True)
-class FieldClass:
-    """Isomorphism class of a cyclic cubic field.
+class FieldClass(namedtuple("FieldClass", "conductor character")):
+    """Isomorphism class of a cyclic cubic field, as an immutable named tuple.
 
     Identified by the conductor c = p_1 ... p_k (p_1 < ... < p_k, each
     = 1 mod 3) and its cubic character chi = prod chi_{p_i}^{e_i}, stored as
     the exponents (e_1, ..., e_k) in {1, 2} normalized so e_1 = 1 (chi and
     its conjugate chi^2 cut out the same field).  chi_p(x) = (x/pi_p)_3 is
     the cubic residue symbol at the primary prime pi_p = _cornacchia(p) = 1
-    (mod 3).  The field discriminant is c^2.
+    (mod 3).  The field discriminant is c^2.  Building one checks the
+    normalization, not the conductor (see check_key).
     """
 
-    conductor: int
-    character: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        es = self.character
+    def __new__(cls, conductor: int, character: tuple[int, ...]):
+        es = character
         if not es or es[0] != 1 or es.count(1) + es.count(2) != len(es):
             raise ValueError(f"character {es} is not normalized: entries in "
                              "{1, 2}, the first equal to 1")
+        return tuple.__new__(cls, (conductor, character))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through it: check it too
+        return cls(*iterable)
 
     @property
     def discriminant(self) -> int:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 
@@ -11,12 +11,11 @@ class ParseError(ValueError):
     """Raised when a polynomial string is not a valid trace-one cubic."""
 
 
-@dataclass(frozen=True, order=True)
-class TraceOnePoly:
-    """The cubic t^3 - t^2 + a*t + b, identified by the pair (a, b)."""
+class TraceOnePoly(namedtuple("TraceOnePoly", "a b")):
+    """The cubic t^3 - t^2 + a*t + b, identified by the pair (a, b): an
+    immutable named tuple, so cubics hash, compare and sort as (a, b)."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         sa = "-" if self.a < 0 else "+"

@@ -4,7 +4,7 @@ and run the numeric quotient-norm proportionality check."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .eisenstein import formula3_count, ideal_count, mod2_part_is_square
 from .enumeration import _members, _row, enumerate_field
@@ -52,13 +52,11 @@ DN_TABLE = (
 )
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    expected: object
-    actual: object
-    passed: bool
-    note: str = ""
+class Check(namedtuple("Check", "name expected actual passed note",
+                       defaults=("",))):
+    """One named comparison of a report, as an immutable named tuple."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         d = {"name": self.name, "expected": self.expected,
@@ -68,10 +66,18 @@ class Check:
         return d
 
 
-@dataclass
 class VerificationReport:
-    subject: str
-    checks: list[Check] = field(default_factory=list)
+    """A subject and the list of its checks, in the order they were made."""
+
+    __slots__ = ("subject", "checks")
+
+    def __init__(self, subject: str):
+        self.subject = subject
+        self.checks: list[Check] = []
+
+    def __repr__(self) -> str:
+        return (f"VerificationReport(subject={self.subject!r}, "
+                f"checks={self.checks!r})")
 
     @property
     def overall(self) -> bool:

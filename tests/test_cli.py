@@ -340,6 +340,24 @@ class TestCount:
         assert peak_kb < 64 * 1024
 
 
+class TestCensusPeak:
+    def test_ten_split_primes(self):
+        # 1 - 3a = 7*13*19*31*37*43*61*67*73*79: (4^10 - 2^10)/2 = 523776
+        # cubics, held at once as (cubic, key) pairs.  The child's VmHWM read
+        # 138.6 MB when cubics and keys were frozen dataclasses, 120.6 MB as
+        # named tuples
+        a = -669977474110520
+        body = ("from cubictrace.enumeration import classified_polys_for_a\n"
+                "pairs = classified_polys_for_a(int(sys.argv[1]))\n"
+                "bs = [f.b for f, _k in pairs]\n"
+                "print(len(pairs), len({k for _f, k in pairs}), "
+                "bs == sorted(bs), pairs[0][0].a)\n"
+                "code = 0\n")
+        out, peak_kb = peak_child([str(a)], subprocess.PIPE, body)
+        assert out.split() == [b"523776", b"29524", b"True", str(a).encode()]
+        assert peak_kb < 130 * 1024
+
+
 class TestZetaCoeffs:
     def test_figure_values(self, capsys):
         code, out, _ = run(capsys, "zeta-coeffs", "--max", "97")

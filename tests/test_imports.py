@@ -3,9 +3,13 @@
 same walk keeps `padic` a leaf: the classification never imports it, finds
 top-level names of the package that no code refers to, and lists every
 memoized function and every module-level name a function rebinds, so that
-a new cache is added on purpose."""
+a new cache is added on purpose.  A fresh interpreter checks what importing
+the CLI loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,3 +182,17 @@ def test_only_the_listed_globals_are_rebound():
     rebound = sorted(f"{path.stem}.{name}" for path in _SRC
                      for name in rebound_globals(path.read_text()))
     assert rebound == ["eisenstein._oracle_table"]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the modules that `import cubictrace.cli` adds in a fresh interpreter,
+    # compared inside the child, so what `site` loads first does not count;
+    # dataclasses and the inspect it imports cost about 6 ms of start-up
+    script = ("import sys\nbefore = set(sys.modules)\nimport cubictrace.cli\n"
+              "print(*sorted(set(sys.modules) - before))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(_ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    added = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "cubictrace.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)

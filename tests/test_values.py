@@ -150,3 +150,12 @@ def test_report_checks_are_a_list_that_grows():
     report.checks += [Check("y", 1, 2, False)]
     assert [c.name for c in report.checks] == ["x", "y"]
     assert other.checks == [] and not report.overall
+
+
+def test_field_class_checks_every_way_it_is_built():
+    k = FieldClass(91, (1, 2))
+    assert k._replace(character=(1, 1)) == FieldClass(91, (1, 1))
+    with pytest.raises(ValueError, match="not normalized"):
+        k._replace(character=(2, 1))
+    with pytest.raises(ValueError, match="not normalized"):
+        FieldClass._make((7, (0,)))
