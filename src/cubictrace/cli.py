@@ -11,7 +11,7 @@ import re
 import sys
 from itertools import compress
 
-from .eisenstein import ideal_count_oracle
+from .eisenstein import ideal_counts_upto
 from .enumeration import enumerate_field
 from .fields import FieldClass, field_invariants
 from .poly import TraceOnePoly, discriminant, is_irreducible, parse_poly
@@ -133,21 +133,32 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+_ZETA_BLOCK = 12288  # rows per write; a multiple of 3, so each block starts
+# at N = 1 (mod 3)
+_ZETA_ROW = {"csv": "%d,%d,%d\n",  # json.dumps(indent=2)'s layout, after ','
+             "json": ',\n  {\n    "N": %d,\n    "d_N": %d,\n    '
+                     '"series_coeff": %d\n  }'}
+
+
 def cmd_zeta_coeffs(args) -> int:
-    ideal_count_oracle(args.max)  # sieve once up to --max, or refuse it first
+    """One block of rows per write, formatted from one slice of the sieve's
+    table; only the block is held."""
+    table = ideal_counts_upto(args.max)  # sieve once, or refuse before output
     write, fmt = sys.stdout.write, args.format
     if fmt == "csv":
         write("N,d_N,series_coeff\n")
-    for n in range(1, args.max + 1):  # a row at a time, none kept
-        dn = ideal_count_oracle(n)
-        sn = dn if n % 3 else 0  # series_coeff(n), from the row's own d_n
-        if fmt == "csv":
-            write(f"{n},{dn},{sn}\n")
-        elif fmt == "json":  # json.dumps(indent=2)'s layout
-            write(f'{"," if n > 1 else "["}\n  {{\n    "N": {n},\n    '
-                  f'"d_N": {dn},\n    "series_coeff": {sn}\n  }}')
-        elif n % 3 == 1 and dn > 0:
-            write(f"d_{n} = {dn}\n")
+    for lo in range(1, args.max + 1, _ZETA_BLOCK):
+        dn = table[lo:lo + _ZETA_BLOCK]
+        if fmt == "text":  # the nonzero d_N at N = 1 (mod 3)
+            d1 = dn[::3]
+            rows = compress(zip(range(lo, args.max + 1, 3), d1), d1)
+            write("".join(map("d_%d = %d\n".__mod__, rows)))
+            continue
+        sn = bytearray(dn)  # series_coeff(N): d_N, but 0 at N = 0 (mod 3)
+        sn[2::3] = bytes(len(sn) // 3)
+        block = "".join(map(_ZETA_ROW[fmt].__mod__,
+                            zip(range(lo, lo + len(dn)), dn, sn)))
+        write("[" + block[1:] if fmt == "json" and lo == 1 else block)
     if fmt == "json":
         write("\n]\n")
     return EXIT_OK

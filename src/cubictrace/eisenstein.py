@@ -164,6 +164,14 @@ def ideal_count_oracle(n: int) -> int:
     return table[n]
 
 
+def ideal_counts_upto(n_max: int) -> memoryview:
+    """d_N at index N for 0 <= N <= n_max (0 at index 0): a read-only view of
+    ideal_count_oracle's table, sieved up to n_max, which it refuses the
+    same way, so rows can be read in slices without a call per N."""
+    ideal_count_oracle(n_max)
+    return memoryview(_oracle_table)[:n_max + 1].toreadonly()
+
+
 def series_coeff(n: int) -> int:
     """n-th Dirichlet coefficient of (1 - 3^{-s}) * zeta_{Q(sqrt(-3))}(s)."""
     if n % 3 or n < 1:

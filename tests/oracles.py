@@ -6,7 +6,7 @@ import itertools
 import math
 
 from cubictrace.arith import InconsistencyError, factorize, is_prime
-from cubictrace.eisenstein import _conj, _cornacchia, _mul
+from cubictrace.eisenstein import _conj, _cornacchia, _mul, ideal_count
 from cubictrace.enumeration import _square_disc_alphas, b_range
 from cubictrace.fields import FieldClass
 from cubictrace.padic import (SplittingType, _fp_roots, _pnorm, roots_mod_p,
@@ -95,6 +95,25 @@ def divisor_sums_per_k(size: int) -> bytearray:
         if k % 3:
             d[k::k] = d[k::k].translate(up if k % 3 == 1 else down)
     return d
+
+
+def zeta_coeffs_rows(m: int, fmt: str) -> str:
+    """What `zeta-coeffs --max m --format fmt` writes, one row per N with
+    d_N from ideal_count: the per-row loop that the CLI's blocks replaced."""
+    out = ["N,d_N,series_coeff\n"] if fmt == "csv" else []
+    for n in range(1, m + 1):
+        dn = ideal_count(n)
+        sn = dn if n % 3 else 0
+        if fmt == "csv":
+            out.append(f"{n},{dn},{sn}\n")
+        elif fmt == "json":
+            out.append(f'{"," if n > 1 else "["}\n  {{\n    "N": {n},\n    '
+                       f'"d_N": {dn},\n    "series_coeff": {sn}\n  }}')
+        elif n % 3 == 1 and dn > 0:
+            out.append(f"d_{n} = {dn}\n")
+    if fmt == "json":
+        out.append("\n]\n")
+    return "".join(out)
 
 
 def divisors(n: int) -> list[int]:

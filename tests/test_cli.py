@@ -21,6 +21,7 @@ from cubictrace.enumeration import enumerate_field
 from cubictrace.fields import SUBGROUP_MAX, FieldClass, field_invariants
 from cubictrace.arith import InconsistencyError
 from cubictrace.poly import is_irreducible, parse_poly
+from oracles import zeta_coeffs_rows
 
 IDENTIFY_INPUT = inputs.identify_inputs(0)[0]  # (a, b, conductor)
 K49_POLY = "t^3 - t^2 - 2t + 1"
@@ -400,6 +401,16 @@ class TestZetaCoeffs:
             digest.update(f"{code}\n{out}".encode())
         assert digest.hexdigest() == (
             "efe0ee5ebd039a5755a561c542bae1c97066332a44feaafd7e016af65f985808")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_blocks_match_one_row_per_n(self, capsys, fmt):
+        # around each edge of the 12288-row blocks, and inside the first
+        block = cli._ZETA_BLOCK
+        for m in (1, 2, 3, 4, 97, block - 1, block, block + 1, block + 2,
+                  2 * block + 1):
+            code, out, _ = run(capsys, "zeta-coeffs", "--max", str(m),
+                               "--format", fmt)
+            assert (code, out) == (0, zeta_coeffs_rows(m, fmt)), m
 
     def test_oracle_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

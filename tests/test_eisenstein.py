@@ -7,8 +7,8 @@ from cubictrace.arith import (FACTOR_LIMIT, InconsistencyError, SizeLimitError,
                               is_prime)
 from cubictrace.eisenstein import (ORACLE_LIMIT, _cornacchia, _mul,
                                    _valuation_at, formula3_count, ideal_count,
-                                   ideal_count_oracle, mod2_part_is_square,
-                                   series_coeff)
+                                   ideal_count_oracle, ideal_counts_upto,
+                                   mod2_part_is_square, series_coeff)
 from oracles import (divisor_sum_chi3, divisor_sums_per_k,
                      ideal_count_factorize, p1_part)
 
@@ -174,6 +174,18 @@ class TestOracle:
         assert len(eisenstein._oracle_table) == 0  # refused before allocating
         with pytest.raises(ValueError):
             ideal_count_oracle(0)
+
+    def test_view_reads_the_table(self):
+        view = ideal_counts_upto(5000)
+        assert len(view) == 5001 and view[0] == 0
+        assert list(view[1:]) == [ideal_count_oracle(n) for n in range(1, 5001)]
+        assert view.readonly and view.obj is eisenstein._oracle_table
+        before = view.tolist()
+        assert ideal_counts_upto(10000)[:5001].tolist() == before  # regrown
+        assert view.tolist() == before
+        for n in (0, ORACLE_LIMIT):
+            with pytest.raises((ValueError, SizeLimitError)):
+                ideal_counts_upto(n)
 
     def test_counts_fit_in_a_byte(self):
         # the least N with d_N >= 256, which bounds the sieve's mod-256 count
