@@ -133,9 +133,10 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-_ZETA_BLOCK = 12288  # rows per write; a multiple of 3, so each block starts
-# at N = 1 (mod 3)
-_ZETA_ROW = {"csv": "%d,%d,%d\n",  # json.dumps(indent=2)'s layout, after ','
+# rows per write: a multiple of 3, so every block starts at N = 1 (mod 3)
+_ZETA_BLOCK = 12288
+# a csv row, or a json row in json.dumps(indent=2)'s layout after its ','
+_ZETA_ROW = {"csv": "%d,%d,%d\n",
              "json": ',\n  {\n    "N": %d,\n    "d_N": %d,\n    '
                      '"series_coeff": %d\n  }'}
 
@@ -148,16 +149,16 @@ def cmd_zeta_coeffs(args) -> int:
     if fmt == "csv":
         write("N,d_N,series_coeff\n")
     for lo in range(1, args.max + 1, _ZETA_BLOCK):
-        dn = table[lo:lo + _ZETA_BLOCK]
+        ns = range(lo, min(lo + _ZETA_BLOCK, args.max + 1))
+        dn = table[lo:ns.stop]
         if fmt == "text":  # the nonzero d_N at N = 1 (mod 3)
             d1 = dn[::3]
-            rows = compress(zip(range(lo, args.max + 1, 3), d1), d1)
+            rows = compress(zip(ns[::3], d1), d1)
             write("".join(map("d_%d = %d\n".__mod__, rows)))
             continue
         sn = bytearray(dn)  # series_coeff(N): d_N, but 0 at N = 0 (mod 3)
         sn[2::3] = bytes(len(sn) // 3)
-        block = "".join(map(_ZETA_ROW[fmt].__mod__,
-                            zip(range(lo, lo + len(dn)), dn, sn)))
+        block = "".join(map(_ZETA_ROW[fmt].__mod__, zip(ns, dn, sn)))
         write("[" + block[1:] if fmt == "json" and lo == 1 else block)
     if fmt == "json":
         write("\n]\n")
