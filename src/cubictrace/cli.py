@@ -58,21 +58,24 @@ def _write_kernel(mask: bytes, sep: str) -> None:
         lead, digits = f"{sep}{t + 1}", _PADDED
 
 
+# identify's json up to the first residue, in json.dumps(indent=2)'s layout;
+# the phi(c)/3 residues follow in blocks
+_IDENTIFY_HEAD = ('{\n  "polynomial": %s,\n  "a": %d,\n  "b": %d,\n'
+                  '  "irreducible": true,\n  "cyclic": true,\n'
+                  '  "discriminant": %d,\n  "index_sq": %d,\n'
+                  '  "conductor": %d,\n  "field_discriminant": %d,\n'
+                  '  "tame": true,\n  "subgroup": [\n    ')
+
+
 def cmd_identify(args) -> int:
     f, k = _field_of(args.poly)
     mask = k._kernel_mask()  # ker chi; may refuse, so before any output
     disc = discriminant(f)
     index_sq = disc // k.discriminant
     if args.format == "json":
-        # json.dumps(indent=2)'s layout, the phi(c)/3 residues in blocks
-        head = json.dumps({
-            "polynomial": str(f), "a": f.a, "b": f.b,
-            "irreducible": True, "cyclic": True,
-            "discriminant": disc, "index_sq": index_sq,
-            "conductor": k.conductor, "field_discriminant": k.discriminant,
-            "tame": True,
-        }, indent=2)[:-2]
-        sys.stdout.write(f'{head},\n  "subgroup": [\n    ')
+        sys.stdout.write(_IDENTIFY_HEAD % (
+            json.dumps(str(f)), f.a, f.b, disc, index_sq, k.conductor,
+            k.discriminant))
         _write_kernel(mask, ",\n    ")
         sys.stdout.write("\n  ]\n}\n")
         return EXIT_OK

@@ -4,7 +4,6 @@ the sigma_0(P_1(.)) closed form."""
 
 from __future__ import annotations
 
-from itertools import count
 from math import isqrt, prod
 
 from .arith import (_TABLE_BOUND, InconsistencyError, SizeLimitError,
@@ -52,7 +51,9 @@ def _cornacchia(p: int) -> tuple[int, int]:
     """
     if p % 3 != 1:
         raise InconsistencyError(f"no prime of Z[w] has norm {p} != 1 (mod 3)")
-    w = next(w for w in (pow(t, (p - 1) // 3, p) for t in count(2)) if w != 1)
+    e, t = (p - 1) // 3, 2
+    while (w := pow(t, e, p)) == 1:
+        t += 1
     r, m = p, (2 * w + 1) % p
     if 2 * m < p:
         m = p - m

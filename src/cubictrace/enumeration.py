@@ -162,9 +162,11 @@ def _square_disc_alphas(a: int) -> list:
 
 def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...]:
     """All cyclic trace-one cubics with this a, each with its field class,
-    ascending in b.  Not memoized."""
+    ascending in b.  Not memoized.  The pairs sort in natural order: a cubic
+    compares as (a, b), every a here is the same and each b occurs once, so
+    the order is b order and never reaches a key."""
     pairs = _square_disc_alphas(a)
-    pairs.sort(key=lambda pair: pair[0].b)
+    pairs.sort()
     return tuple(pairs)
 
 

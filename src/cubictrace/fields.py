@@ -130,15 +130,18 @@ class FieldClass(namedtuple("FieldClass", "conductor character")):
         Labels mod m and mod p, repeated p and m times, sit side by side
         over [0, m p): position x reads the labels of x mod m and x mod p,
         which is the CRT bijection, so adding the byte strings labels each
-        x mod m p by chi_m(x) chi_p(x)^e."""
+        x mod m p by chi_m(x) chi_p(x)^e.  The first prime needs no sum:
+        the labels mod 1 are one 0 and e_1 = 1 by the normalization, so the
+        sum is _cube_labels(p_1), whose bytes 0, 1, 2 and _NON_UNIT
+        _LABEL_OF_SUM leaves as they are."""
         ps = check_key(self)
         size = math.prod(p - 1 for p in ps) // 3
         if size > SUBGROUP_MAX:
             raise SizeLimitError(f"the splitting subgroup mod {self.conductor} "
                                  f"(character {self.character}) has {size} "
                                  f"residues; at most {SUBGROUP_MAX} are listed")
-        labels = bytes(1)  # mod m = 1
-        for p, e in zip(ps, self.character):
+        labels = _cube_labels(ps[0])
+        for p, e in zip(ps[1:], self.character[1:]):
             m = len(labels)
             total = (int.from_bytes(labels * p, "little")
                      + e * int.from_bytes(_cube_labels(p) * m, "little"))

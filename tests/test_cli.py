@@ -107,6 +107,17 @@ class TestIdentify:
         assert data["subgroup"] == sorted(field_invariants(parse_poly(poly)).subgroup)
         assert out == json.dumps(data, indent=2) + "\n"
 
+    def test_json_head_is_json_dumps_on_bench_cubics(self, capsys):
+        # the head is one %-template: its layout must stay json.dumps's on
+        # 1-, 2- and 3-prime conductors, all with a < 0
+        cubics = [(a, b) for a, b, _c in inputs.identify_inputs(0)[:30]]
+        assert all(a < 0 for a, _b in cubics)
+        for a, b in [*cubics, (-2, 1)]:
+            code, out, _ = run(capsys, "identify", f"--poly={a},{b}",
+                               "--format", "json")
+            assert code == 0
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", (a, b)
+
     def test_text_subgroup_is_list_repr(self, capsys):
         code, out, _ = run(capsys, "identify", "--poly", SLICED_POLY)
         sub = field_invariants(parse_poly(SLICED_POLY)).subgroup

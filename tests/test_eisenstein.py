@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 import sympy
 from hypothesis import given, strategies as st
@@ -51,6 +53,20 @@ class TestZw:
             p += 6
         x, y = _cornacchia(p)
         assert x * x - x * y + y * y == p and (x % 3, y % 3) == (1, 0)
+
+    def test_cornacchia_picks_the_same_prime(self):
+        # pi or conj(pi): both are primary of norm p, but every key's e_1 = 1
+        # is taken at the one returned.  sha256 of "p x y" lines for the 630
+        # primes p = 1 (mod 3) below 10^4 and in (10^6, 10^6 + 400), pinned
+        # from the build that searched for a non-cube with itertools.count.
+        ps = [p for p in range(7, 10**4, 6) if is_prime(p)]
+        ps += [p for p in range(10**6 + 3, 10**6 + 400, 6) if is_prime(p)]
+        digest = hashlib.sha256()
+        for p in ps:
+            x, y = _cornacchia(p)
+            digest.update(f"{p} {x} {y}\n".encode())
+        assert len(ps) == 630 and digest.hexdigest() == (
+            "71bf7cca12682fcd983cc698d9d25c08711df0258a0ee845c42f70d43e1153fc")
 
 
 class TestIdealCount:

@@ -150,6 +150,15 @@ class TestPolysForA:
             assert [(f.b, k) for f, k in classified_polys_for_a(a)] == \
                 expected, a
 
+    @pytest.mark.parametrize("avals", [range(-3000, 1),
+                                       range(-10**6 - 1999, -10**6 + 1)])
+    def test_b_strictly_ascending(self, avals):
+        # the pairs sort in natural order, which is b order only while no
+        # b repeats: a repeat would be ordered by its key
+        for a in avals:
+            bs = [f.b for f, _k in classified_polys_for_a(a)]
+            assert all(b0 < b1 for b0, b1 in zip(bs, bs[1:])), a
+
     def test_examples(self):
         assert [(f, k.conductor) for f, k in classified_polys_for_a(-2)] == \
             [(TraceOnePoly(-2, 1), 7)]
