@@ -5,8 +5,8 @@ per height match ideal counts in Q(sqrt(-3))."""
 from .arith import InconsistencyError, factorize, is_prime
 from .eisenstein import (formula3_count, ideal_count, ideal_count_oracle,
                          series_coeff)
-from .enumeration import (EnumerationRow, b_range, enumerate_all,
-                          enumerate_field, min_height)
+from .enumeration import (EnumerationRow, enumerate_all, enumerate_field,
+                          min_height)
 from .fields import FieldClass, conductor_of, field_invariants, is_isomorphic
 from .padic import (SplittingType, dedekind_index_test, roots_mod_p,
                     splitting_type, valuation)
@@ -21,8 +21,7 @@ __version__ = "1.0.0"
 __all__ = [
     "InconsistencyError", "factorize", "is_prime",
     "formula3_count", "ideal_count", "ideal_count_oracle", "series_coeff",
-    "EnumerationRow", "b_range", "enumerate_all", "enumerate_field",
-    "min_height",
+    "EnumerationRow", "enumerate_all", "enumerate_field", "min_height",
     "FieldClass", "conductor_of", "field_invariants", "is_isomorphic",
     "SplittingType", "dedekind_index_test", "roots_mod_p", "splitting_type",
     "valuation",

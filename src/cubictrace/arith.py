@@ -125,7 +125,7 @@ def _pollard_rho(n: int) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"pollard rho failed to split {n}")
+    raise InconsistencyError(f"pollard rho failed to split {n}")
 
 
 def _factor_into(n: int, acc: dict[int, int]) -> None:

@@ -3,8 +3,8 @@
 Enumeration is driven by the t-coefficient a.  With h = 1 - 3a, the b whose
 discriminant is a nonzero square correspond to the conjugate pairs of
 elements of norm h^3 in Z[w], which are generated from the factorization of
-h (Cornacchia for each split prime) instead of testing every b in the
-interval b_range(a).  One walk, _square_disc_alphas, takes them by the
+h (Cornacchia for each split prime) instead of testing every b with a
+positive discriminant.  One walk, classified_polys_for_a, takes them by the
 pattern of their valuations j_i mod 3 at the split primes, which fixes the
 field (see `fields`): one key per pattern, one alpha per conjugate pair and
 no reducible cubic.  Every such alpha gives an integer b, by the mod-27
@@ -28,29 +28,6 @@ from .arith import FACTOR_LIMIT, InconsistencyError, _past_limit, factorize
 from .eisenstein import _conj, _cornacchia, _mul, series_coeff
 from .fields import FieldClass, check_key
 from .poly import TraceOnePoly
-
-
-def b_range(a: int) -> range:
-    """Exactly the integers b with disc(t^3 - t^2 + a t + b) > 0.
-
-    The discriminant is quadratic in b with negative leading coefficient, so
-    the solution set is an open interval; disc = 0 endpoints are excluded.
-    """
-    if a > 0:
-        raise ValueError(f"enumeration requires a <= 0, got a = {a}")
-    B = 4 - 18 * a
-    C = a * a - 4 * a**3
-    delta = B * B + 108 * C  # equals 16 (1-3a)^3 > 0
-    s = isqrt(delta)
-    lo = (B - s) // 54 - 1
-    hi = (B + s) // 54 + 1
-    while lo <= hi and -27 * lo * lo + B * lo + C <= 0:
-        lo += 1
-    while hi >= lo and -27 * hi * hi + B * hi + C <= 0:
-        hi -= 1
-    if lo > hi:
-        return range(0, 0)
-    return range(lo, hi + 1)
 
 
 @lru_cache(maxsize=4096)
@@ -86,10 +63,13 @@ def _bad_alpha(alpha: tuple[int, int], a: int) -> InconsistencyError:
                               f"disc <= 0 at a = {a}")
 
 
-def _square_disc_alphas(a: int) -> list:
+def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...]:
     """(f, k) for each irreducible f = t^3 - t^2 + a t + b whose discriminant
-    is a positive square, k the FieldClass of its root field, in walk order.
-    The cubics are made here, so the census at a holds one list of pairs.
+    is a positive square, k the FieldClass of its root field, ascending in b.
+    Not memoized.  The cubics are made here, so the census at a holds one
+    list of pairs.  They sort in natural order: a cubic compares as (a, b),
+    every a here is the same and each b occurs once, so the order is b order
+    and never reaches a key.
 
     With h = 1 - 3a and q = 9a + 27b - 2, disc = (4h^3 - q^2)/27, so
     disc = s^2 exactly when alpha = (q + 3s*sqrt(-3))/2 = x + y*w, with
@@ -118,8 +98,8 @@ def _square_disc_alphas(a: int) -> list:
     integer.  Since 3 | y, q^2 = 4h^3 - 3y^2 = 4h^3 (mod 27), and
     h^3 = 1 - 9a (mod 27) gives 4h^3 = (9a - 2)^2 (mod 27).  So 27 divides
     (q - (9a - 2)) (q + 9a - 2), and q + 9a - 2 = 2 (mod 3) is a unit mod 27.
-    An alpha off that class, or with 4h^3 - q^2 = 27 disc <= 0 (b outside
-    b_range(a)), raises InconsistencyError instead of being skipped.
+    An alpha off that class, or with 4h^3 - q^2 = 27 disc <= 0, raises
+    InconsistencyError instead of being skipped.
     """
     if a > 0:
         raise ValueError(f"enumeration requires a <= 0, got a = {a}")
@@ -129,13 +109,13 @@ def _square_disc_alphas(a: int) -> list:
     for p, e in factorize(h):
         if p % 3 == 2:
             if e % 2:
-                return []
+                return ()
             rational *= (-p) ** (3 * e // 2)
         else:
             rows.append((p, _factor_row(p, e)))
-    out = []
     if not rows:
-        return out
+        return ()
+    out = []
     last = len(rows) - 1
     q0, four_h3 = 9 * a - 2, 4 * h**3
     stack = [(0, [(rational, 0)], 1, ())]  # (i, alphas, c, es) before prime i
@@ -157,17 +137,8 @@ def _square_disc_alphas(a: int) -> list:
                     if off or q * q >= four_h3:
                         raise _bad_alpha(_mul((x0, x1), (f0, f1)), a)
                     out.append((TraceOnePoly(a, b), key))
-    return out
-
-
-def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...]:
-    """All cyclic trace-one cubics with this a, each with its field class,
-    ascending in b.  Not memoized.  The pairs sort in natural order: a cubic
-    compares as (a, b), every a here is the same and each b occurs once, so
-    the order is b order and never reaches a key."""
-    pairs = _square_disc_alphas(a)
-    pairs.sort()
-    return tuple(pairs)
+    out.sort()
+    return tuple(out)
 
 
 class EnumerationRow(namedtuple("EnumerationRow", "n a polys predicted")):
@@ -239,15 +210,6 @@ def _members(k: FieldClass, a: int) -> tuple[TraceOnePoly, ...]:
     return tuple(TraceOnePoly(a, b) for b in bs)
 
 
-def _row(k: FieldClass, n: int) -> EnumerationRow:
-    h2 = k.conductor * n
-    predicted = series_coeff(n)
-    if (1 - h2) % 3 != 0:
-        return EnumerationRow(n, None, (), predicted)
-    a = (1 - h2) // 3  # <= 0, since h2 >= 1
-    return EnumerationRow(n, a, _members(k, a), predicted)
-
-
 def enumerate_field(k: FieldClass, n_max: int) -> list[EnumerationRow]:
     """Rows for N = 1 .. n_max; non-admissible N yield empty rows.  Since
     c = 1 (mod 3), N is admissible exactly when N = 1 (mod 3), which is the
@@ -301,9 +263,9 @@ def enumerate_field(k: FieldClass, n_max: int) -> list[EnumerationRow]:
 
 def min_height(k: FieldClass) -> int:
     """Smallest H^2 = c*N with a member of F_K; equals the conductor, so
-    only the row N = 1 is checked."""
+    only N = 1, at a = (1 - c)/3, is checked."""
     check_key(k)
-    if not _row(k, 1).count:
+    if not _members(k, (1 - k.conductor) // 3):
         raise InconsistencyError(
             f"no member of the conductor-{k.conductor} class at H^2 = "
             f"{k.conductor}")

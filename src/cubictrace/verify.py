@@ -6,8 +6,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .eisenstein import formula3_count, ideal_count, mod2_part_is_square
-from .enumeration import _members, _row, enumerate_field
+from .arith import InconsistencyError
+from .eisenstein import (formula3_count, ideal_count, mod2_part_is_square,
+                         series_coeff)
+from .enumeration import _members, enumerate_field
 from .fields import FieldClass, check_key, field_invariants
 from .poly import TraceOnePoly, discriminant, height_sq, is_cyclic
 
@@ -118,12 +120,14 @@ def verify_theorem(k: FieldClass, n_max: int) -> VerificationReport:
 
 def _corollary_check(k: FieldClass, a: int) -> tuple[int, int, str]:
     """(predicted, count, note) for the cubics at a with root field k: the
-    theorem's row at N = (1-3a)/c when c | 1-3a, else 0 predicted."""
+    theorem's d_N at N = (1-3a)/c when c | 1-3a, else 0 predicted.  The
+    count comes first, so 1-3a past FACTOR_LIMIT is refused before N is
+    factored."""
     h2 = 1 - 3 * a
+    count = len(_members(k, a))
     if h2 % k.conductor:
-        return 0, len(_members(k, a)), f"{k.conductor} does not divide {h2}"
-    row = _row(k, h2 // k.conductor)
-    return row.predicted, row.count, ""
+        return 0, count, f"{k.conductor} does not divide {h2}"
+    return series_coeff(h2 // k.conductor), count, ""
 
 
 def verify_corollary(k: FieldClass, a_min: int) -> VerificationReport:
@@ -211,7 +215,8 @@ def real_roots(f: TraceOnePoly) -> tuple[float, float, float]:
             roots.append(lo)
             continue
         if f(hi) * flo > 0:
-            raise RuntimeError(f"root isolation failed for {f} on [{lo}, {hi}]")
+            raise InconsistencyError(
+                f"root isolation failed for {f} on [{lo}, {hi}]")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:

@@ -1,11 +1,3 @@
-import os
-import sys
-
-# bench/inputs.py generates cyclic cubics of known conductor; the oracle
-# tests reuse it as `import inputs`.
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "bench"))
-
 acceptance_lines: list[str] = []
 
 

@@ -7,7 +7,7 @@ import math
 
 from cubictrace.arith import InconsistencyError, factorize, is_prime
 from cubictrace.eisenstein import _conj, _cornacchia, _mul, ideal_count
-from cubictrace.enumeration import _square_disc_alphas, b_range
+from cubictrace.enumeration import classified_polys_for_a
 from cubictrace.fields import FieldClass
 from cubictrace.padic import (SplittingType, _fp_roots, _pnorm, roots_mod_p,
                               valuation)
@@ -371,9 +371,9 @@ def field_class_oracle(f):
 
 
 def _square_disc_bs(a: int) -> list[int]:
-    """The b of enumeration._square_disc_alphas(a), ascending: the fast
+    """The b of enumeration.classified_polys_for_a(a), ascending: the fast
     path, which lists only the cyclic (irreducible) cubics."""
-    return sorted(f.b for f, _k in _square_disc_alphas(a))
+    return sorted(f.b for f, _k in classified_polys_for_a(a))
 
 
 @functools.lru_cache(maxsize=None)
@@ -392,7 +392,7 @@ def factor_row_powers(p: int, e: int) -> tuple:
 def square_disc_alphas_keyed(a: int, k: FieldClass | None = None):
     """(b, k) for each cyclic t^3 - t^2 + a t + b, by the recursive walk over
     the residue patterns j_i mod 3 at the split primes of h = 1 - 3a (see
-    enumeration._square_disc_alphas); given a key k, only k's pattern: e_p
+    enumeration.classified_polys_for_a); given a key k, only k's pattern: e_p
     at each p | c and 0 at the other split primes, and no cubics when c is
     not the product of len(character) split primes of h."""
     if a > 0:
@@ -439,6 +439,29 @@ def members_keyed(k: FieldClass, a: int) -> tuple[TraceOnePoly, ...]:
     """The cubics at a with root field k, ascending in b, by the keyed walk."""
     return tuple(TraceOnePoly(a, b)
                  for b in sorted(b for b, _k in square_disc_alphas_keyed(a, k)))
+
+
+def b_range(a: int) -> range:
+    """Exactly the integers b with disc(t^3 - t^2 + a t + b) > 0.
+
+    The discriminant is quadratic in b with negative leading coefficient, so
+    the solution set is an open interval; disc = 0 endpoints are excluded.
+    """
+    if a > 0:
+        raise ValueError(f"enumeration requires a <= 0, got a = {a}")
+    B = 4 - 18 * a
+    C = a * a - 4 * a**3
+    delta = B * B + 108 * C  # equals 16 (1-3a)^3 > 0
+    s = math.isqrt(delta)
+    lo = (B - s) // 54 - 1
+    hi = (B + s) // 54 + 1
+    while lo <= hi and -27 * lo * lo + B * lo + C <= 0:
+        lo += 1
+    while hi >= lo and -27 * hi * hi + B * hi + C <= 0:
+        hi -= 1
+    if lo > hi:
+        return range(0, 0)
+    return range(lo, hi + 1)
 
 
 @functools.lru_cache(maxsize=None)

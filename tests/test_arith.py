@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from cubictrace import arith
 from cubictrace.arith import (FACTOR_LIMIT, TRIAL_DIVISION_BOUND,
-                              SizeLimitError, factorize, is_prime)
+                              InconsistencyError, SizeLimitError, factorize,
+                              is_prime)
 from oracles import (divisors, euler_phi, factorize_trial, least_prime_factors,
                      primes, subgroup_closure)
 
@@ -108,6 +109,13 @@ class TestFactorize:
         cases = [*_crossing_cases(), 1019 * 1021, 1021**2]
         for n in cases:
             assert factorize(n) == factorize_trial(n), n
+
+    def test_rho_on_a_prime_is_inconsistent(self):
+        # factorize never hands rho a prime; every offset then finds only
+        # the trivial factor n, and the exhausted search is a typed error
+        assert is_prime(1000003)
+        with pytest.raises(InconsistencyError, match="failed to split 1000003"):
+            arith._pollard_rho(1000003)
 
     def test_powers_of_two(self):
         for k in range(81):

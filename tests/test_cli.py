@@ -472,7 +472,7 @@ class TestVerify:
         # of check: no census walk, and no c*N factored at any admissible N
         # past N = 1, whose c*N = 7 is the conductor that keys the field
         walks, factored = [], []
-        monkeypatch.setattr(enumeration, "_square_disc_alphas", walks.append)
+        monkeypatch.setattr(enumeration, "classified_polys_for_a", walks.append)
         factorize = arith.factorize
         for module in (arith, eisenstein, enumeration, fields):
             monkeypatch.setattr(module, "factorize",
@@ -612,11 +612,14 @@ class TestExitPaths:
         (("identify", "--poly", PAST_LIMIT), 7 * 10**24),
         (("isomorphic", PAST_LIMIT, "-2,1"), 7 * 10**24),
         (("count", "--field", "-2,1", "-a", str(-10**25)), 3 * 10**25 + 1),
+        # 7 | 1 - 3a: refused at 1 - 3a, before N = (1 - 3a)/7 is factored
+        (("count", "--field", "-2,1", "-a", str(-10**26)), 3 * 10**26 + 1),
         (("enumerate", "--field", BIG_FIELD, "--max-norm", "4"),
          4 * 1255745438954661697032379),
         (("verify", "--field", BIG_FIELD, "--max-norm", "4"),
          4 * 1255745438954661697032379),
-    ], ids=["identify", "isomorphic", "count", "enumerate", "verify"])
+    ], ids=["identify", "isomorphic", "count", "count-c-divides", "enumerate",
+            "verify"])
     def test_factorization_past_its_limit_exits_4(self, argv, n):
         assert n >= FACTOR_LIMIT
         proc = spawn(*argv)

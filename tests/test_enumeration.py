@@ -7,14 +7,15 @@ import pytest
 from cubictrace import enumeration
 from cubictrace.arith import factorize, is_prime
 from cubictrace.eisenstein import _cornacchia, ideal_count
-from cubictrace.enumeration import (_members, b_range, classified_polys_for_a,
+from cubictrace.enumeration import (_members, classified_polys_for_a,
                                     enumerate_all, enumerate_field, min_height)
 from cubictrace.fields import FieldClass, field_invariants
 from cubictrace.arith import InconsistencyError
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic, is_irreducible
 
-from oracles import (_square_disc_bs, factor_row_powers, members_keyed,
-                     square_disc_alphas_keyed, square_disc_bs_scan)
+from oracles import (_square_disc_bs, b_range, factor_row_powers,
+                     members_keyed, square_disc_alphas_keyed,
+                     square_disc_bs_scan)
 
 
 def cyclic_bs_scan(a: int) -> list[int]:

@@ -67,6 +67,17 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def test_star_import_gives_every_name_in_all():
+    # the unused-import walk counts a name in __all__ as used, so a stale
+    # entry would pass it: the star import fails on one that is missing
+    import cubictrace
+    namespace = {}
+    exec("from cubictrace import *", namespace)
+    assert len(set(cubictrace.__all__)) == len(cubictrace.__all__)
+    assert all(hasattr(cubictrace, name) for name in cubictrace.__all__)
+    assert set(cubictrace.__all__) <= set(namespace)
+
+
 def test_walk_finds_imported_modules():
     source = ("from .padic import roots_mod_p\nfrom . import fields\n"
               "import cubictrace.poly as p\nfrom .arith import factorize\n")

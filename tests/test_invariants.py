@@ -56,9 +56,9 @@ def test_min_height_differs_from_conductor():
         from cubictrace import enumeration
         from cubictrace.fields import field_invariants
         from cubictrace.poly import TraceOnePoly
-        row = enumeration._row
-        enumeration._row = lambda k, n: (
-            row(k, n) if n > 1 else enumeration.EnumerationRow(1, None, (), 1))
+        members = enumeration._members
+        enumeration._members = lambda k, a: (
+            members(k, a) if 1 - 3 * a != k.conductor else ())
 
         def run():
             enumeration.min_height(field_invariants(TraceOnePoly(-2, 1)))

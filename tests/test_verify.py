@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from cubictrace import verify
+from cubictrace import arith, eisenstein, enumeration, fields, verify
+from cubictrace.arith import FACTOR_LIMIT, InconsistencyError, SizeLimitError
 from cubictrace.fields import field_invariants
 from cubictrace.poly import TraceOnePoly
 from cubictrace.verify import (formula3_divergences,
@@ -55,6 +56,21 @@ class TestCorollary:
         report = verify_corollary(K49, 0)
         assert report.overall
         assert report.checks[0].expected == 0
+
+    def test_height_past_the_limit_is_refused_before_any_factorization(
+            self, monkeypatch):
+        # 7 | h: N = h/7 is below FACTOR_LIMIT, but the refusal names h, as
+        # the census at a does, and comes before d_N factors N
+        h = FACTOR_LIMIT + (7 - FACTOR_LIMIT) % 21
+        assert h % 21 == 7 and h // 7 < FACTOR_LIMIT <= h < FACTOR_LIMIT + 21
+        factored = []
+        factorize = arith.factorize
+        for module in (arith, eisenstein, enumeration, fields):
+            monkeypatch.setattr(module, "factorize",
+                                lambda n: factored.append(n) or factorize(n))
+        with pytest.raises(SizeLimitError, match=f"cannot factor {h}: "):
+            verify._corollary_check(K49, (1 - h) // 3)
+        assert factored == []
 
 
 class TestFormula3:
@@ -114,6 +130,13 @@ class TestRealRoots:
     def test_rejects_nonsquare_disc(self):
         with pytest.raises(ValueError):
             real_roots(TraceOnePoly(3, 5))
+
+    def test_no_sign_change_is_inconsistent(self, monkeypatch):
+        # past the discriminant guard, t^3 - t^2 + 1 (disc -23) keeps the
+        # sign of f(0) = 1 on the middle bracket [0, 2/3]
+        monkeypatch.setattr(verify, "discriminant", lambda f: 1)
+        with pytest.raises(InconsistencyError, match="root isolation failed"):
+            real_roots(TraceOnePoly(0, 1))
 
 
 class TestNormProportionality:
