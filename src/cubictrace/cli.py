@@ -283,8 +283,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (RuntimeError, ArithmeticError) as exc:
-        # InconsistencyError is a RuntimeError; a failed rho factorization
-        # and SizeLimitError, an exhausted limit, are ArithmeticErrors.
+        # InconsistencyError, which a failed rho factorization raises too,
+        # is a RuntimeError; SizeLimitError, an exhausted limit, is an
+        # ArithmeticError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except BrokenPipeError:

@@ -67,9 +67,8 @@ def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...
     """(f, k) for each irreducible f = t^3 - t^2 + a t + b whose discriminant
     is a positive square, k the FieldClass of its root field, ascending in b.
     Not memoized.  The cubics are made here, so the census at a holds one
-    list of pairs.  They sort in natural order: a cubic compares as (a, b),
-    every a here is the same and each b occurs once, so the order is b order
-    and never reaches a key.
+    list of pairs, sorted by b as an int: comparing the pairs themselves
+    would compare cubics, tuple by tuple.
 
     With h = 1 - 3a and q = 9a + 27b - 2, disc = (4h^3 - q^2)/27, so
     disc = s^2 exactly when alpha = (q + 3s*sqrt(-3))/2 = x + y*w, with
@@ -137,7 +136,7 @@ def classified_polys_for_a(a: int) -> tuple[tuple[TraceOnePoly, FieldClass], ...
                     if off or q * q >= four_h3:
                         raise _bad_alpha(_mul((x0, x1), (f0, f1)), a)
                     out.append((TraceOnePoly(a, b), key))
-    out.sort()
+    out.sort(key=lambda pair: pair[0].b)
     return tuple(out)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterable
 from itertools import compress
 
 from .arith import InconsistencyError, SizeLimitError, factorize
@@ -99,12 +100,12 @@ class FieldClass(namedtuple("FieldClass", "conductor character")):
 
     __slots__ = ()
 
-    def __new__(cls, conductor: int, character: tuple[int, ...]):
-        es = character
+    def __new__(cls, conductor: int, character: Iterable[int]):
+        es = tuple(character)  # any iterable: the key hashes as a tuple
         if not es or es[0] != 1 or es.count(1) + es.count(2) != len(es):
             raise ValueError(f"character {es} is not normalized: entries in "
                              "{1, 2}, the first equal to 1")
-        return tuple.__new__(cls, (conductor, character))
+        return tuple.__new__(cls, (conductor, es))
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through it: check it too

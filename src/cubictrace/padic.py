@@ -11,9 +11,8 @@ ascending degree order with no trailing zeros.
 from __future__ import annotations
 
 import enum
-import itertools
 
-from .arith import FACTOR_LIMIT, SizeLimitError, is_prime
+from .arith import FACTOR_LIMIT, InconsistencyError, SizeLimitError, is_prime
 from .fields import _cube_label, check_key, field_invariants
 from .poly import TraceOnePoly
 
@@ -39,7 +38,8 @@ def valuation(n: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] helpers
+# F_p[x] helpers.  Every divisor is monic: _fp_roots makes its input monic
+# once, and _pgcd each remainder it divides by.
 
 def _pnorm(c: list[int], p: int) -> tuple[int, ...]:
     c = [x % p for x in c]
@@ -48,78 +48,68 @@ def _pnorm(c: list[int], p: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _pmul(u, v, p):
-    if not u or not v:
-        return ()
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
-            out[i + j] = (out[i + j] + a * b) % p
-    return _pnorm(out, p)
+def _pmonic(u, p):
+    inv = pow(u[-1], -1, p)
+    return tuple(x * inv % p for x in u)
 
 
-def _psub(u, v, p):
-    out = list(u) + [0] * max(0, len(v) - len(u))
-    for j, b in enumerate(v):
-        out[j] = (out[j] - b) % p
-    return _pnorm(out, p)
-
-
-def _pdivmod(u, v, p):
-    if not v:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(v[-1], -1, p)
+def _pdivmod(u, m, p):
+    """Quotient and remainder of u (any integers) by a monic m over F_p."""
+    d = len(m) - 1
     rem = list(u)
-    quo = [0] * max(0, len(u) - len(v) + 1)
-    while len(rem) >= len(v):
-        while rem and rem[-1] % p == 0:
-            rem.pop()
-        if len(rem) < len(v):
-            break
-        coef = rem[-1] * inv % p
-        shift = len(rem) - len(v)
+    quo = [0] * max(0, len(u) - d)
+    for shift in range(len(u) - 1 - d, -1, -1):
+        coef = rem[shift + d] % p
         quo[shift] = coef
-        for j, b in enumerate(v):
-            rem[shift + j] = (rem[shift + j] - coef * b) % p
-        rem.pop()
-    return _pnorm(quo, p), _pnorm(rem, p)
+        for j in range(d):  # m[d] = 1 cancels rem[shift + d]
+            rem[shift + j] = (rem[shift + j] - coef * m[j]) % p
+    return _pnorm(quo, p), _pnorm(rem[:d], p)
 
 
 def _pgcd(u, v, p):
+    """The monic gcd of a monic u and any v over F_p."""
     while v:
+        v = _pmonic(v, p)
         u, v = v, _pdivmod(u, v, p)[1]
-    if u:
-        inv = pow(u[-1], -1, p)
-        u = tuple(x * inv % p for x in u)
     return u
 
 
-def _ppow_mod(base, e: int, modpoly, p):
+def _ppow_mod(base, e: int, m, p):
+    """base^e mod a monic m over F_p, by left-to-right square and multiply."""
     result = (1,)
-    base = _pdivmod(base, modpoly, p)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, p), modpoly, p)[1]
-        base = _pdivmod(_pmul(base, base, p), modpoly, p)[1]
-        e >>= 1
+    for bit in bin(e)[2:]:
+        for v in (result, base) if bit == "1" else (result,):
+            out = [0] * (len(result) + len(v) - 1)
+            for i, x in enumerate(result):
+                for j, y in enumerate(v):
+                    out[i + j] += x * y
+            result = _pdivmod(out, m, p)[1]
     return result
 
 
 def _split_roots(poly, p: int) -> set[int]:
     """Roots of a monic polynomial over F_p, p odd, known to split into
     distinct linear factors: gcd(poly, (x + c)^((p-1)/2) - 1) separates the
-    roots r with r + c a nonzero square from the rest (Cantor-Zassenhaus)."""
+    roots r with r + c a nonzero square from the rest (Cantor-Zassenhaus).
+
+    For roots r1 != r2, the sum over c of chi((r1 + c)(r2 + c)) is -1 (chi
+    the quadratic character), so (p - 1)/2 of the c in [0, p) separate them.
+    A poly that no such c splits does not split into distinct linear
+    factors: InconsistencyError."""
     deg = len(poly) - 1
     if deg <= 0:
         return set()
     if deg == 1:
         return {-poly[0] % p}
-    for c in itertools.count():
-        h = _ppow_mod((c % p, 1), (p - 1) // 2, poly, p)
-        g = _pgcd(poly, _psub(h, (1,), p), p)
+    for c in range(p):
+        h = [*_ppow_mod((c, 1), (p - 1) // 2, poly, p), 0]  # padded: h may be 0
+        h[0] -= 1
+        g = _pgcd(poly, _pnorm(h, p), p)
         if 0 < len(g) - 1 < deg:
             rest = _pdivmod(poly, g, p)[0]
             return _split_roots(g, p) | _split_roots(rest, p)
+    raise InconsistencyError(f"{poly} does not split into distinct linear "
+                             f"factors mod {p}: no c < {p} separates its roots")
 
 
 def _fp_roots(poly, p: int) -> set[int]:
@@ -136,8 +126,10 @@ def _fp_roots(poly, p: int) -> set[int]:
     if p <= _BRUTE_FORCE_PRIME:
         c0, c1, c2, c3 = cbar + (0,) * (4 - len(cbar))
         return {r for r in range(p) if (((c3 * r + c2) * r + c1) * r + c0) % p == 0}
-    xp = _ppow_mod((0, 1), p, cbar, p)
-    return _split_roots(_pgcd(cbar, _psub(xp, (0, 1), p), p), p)
+    monic = _pmonic(cbar, p)
+    xp = [*_ppow_mod((0, 1), p, monic, p), 0, 0]  # padded: x^p may have degree < 1
+    xp[1] -= 1
+    return _split_roots(_pgcd(monic, _pnorm(xp, p), p), p)
 
 
 def _check_prime(p: int) -> None:

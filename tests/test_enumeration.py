@@ -143,6 +143,23 @@ class TestPolysForA:
         assert len(rows) == (4**7 - 2**7) // 2 == 8128
         assert len(set(keys)) == len({id(k) for k in keys}) == 1093
 
+    def test_sort_compares_no_cubic(self, monkeypatch):
+        # sorting the (cubic, key) pairs themselves made 3774 cubic
+        # comparisons here, at 496 cubics; the sort reads b as an int
+        calls = []
+
+        class CountingPoly(TraceOnePoly):
+            __slots__ = ()
+
+            def __lt__(self, other):
+                calls.append(1)
+                return super().__lt__(other)
+
+        monkeypatch.setattr(enumeration, "TraceOnePoly", CountingPoly)
+        rows = classified_polys_for_a((1 - 7 * 13 * 19 * 31 * 37) // 3)
+        assert len(rows) == (4**5 - 2**5) // 2 == 496
+        assert type(rows[0][0]) is CountingPoly and calls == []
+
     @pytest.mark.parametrize("a_top", [-10**6, -10**9])
     def test_matches_keyed_walk(self, a_top):
         # the stack walk against the recursive one, on 2000 consecutive a
@@ -154,8 +171,8 @@ class TestPolysForA:
     @pytest.mark.parametrize("avals", [range(-3000, 1),
                                        range(-10**6 - 1999, -10**6 + 1)])
     def test_b_strictly_ascending(self, avals):
-        # the pairs sort in natural order, which is b order only while no
-        # b repeats: a repeat would be ordered by its key
+        # the pairs sort by b alone: a repeated b would show here as two
+        # equal neighbours
         for a in avals:
             bs = [f.b for f, _k in classified_polys_for_a(a)]
             assert all(b0 < b1 for b0, b1 in zip(bs, bs[1:])), a

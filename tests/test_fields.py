@@ -224,6 +224,16 @@ class TestFieldClass:
         assert k1 == k2 and hash(k1) == hash(k2)
         assert k1 == FieldClass(7, (1,))
 
+    @pytest.mark.parametrize("make", [list, lambda es: (e for e in es)],
+                             ids=["list", "generator"])
+    def test_character_is_stored_as_a_tuple(self, make):
+        # a list character once passed the check but left the key unhashable
+        # and unequal to the tuple key
+        k, key = FieldClass(91, make((1, 2))), FieldClass(91, (1, 2))
+        assert k == key and hash(k) == hash(key)
+        assert type(k.character) is tuple
+        assert k._replace(character=make((1, 1))) == FieldClass(91, (1, 1))
+
     @pytest.mark.parametrize("character", [(), (2,), (1, 0), (1, 3), (1, -1)])
     def test_rejects_unnormalized_character(self, character):
         # (2,) is the conjugate of (1,): accepted, it would key K_49 a second time

@@ -165,10 +165,11 @@ def test_only_the_listed_functions_are_memoized():
     # build_parser: one parser per process.  _factor_row: Cornacchia and the
     # 3e + 1 factors at a split prime power p^e, 4096 entries; the census
     # walk hits 766 of 1162 calls on a in [-2000, 0] (census-near) and 6512
-    # of 11 913 on 20 000 a near -10^6.  census-near's wall_s is 0.0120 s
-    # with it and 0.0158 s without (bench/run.py --seconds 5, medians of 6
-    # alternated pairs, Python 3.11, 2 vCPUs).  A new memo joins this list
-    # with a measurement that it pays for itself.
+    # of 11 913 on 20 000 a near -10^6.  census-near's wall_s is 0.0075 s
+    # with it and 0.0098 s without, slower in 6 of 6 pairs (bench/run.py
+    # --seconds 5, medians of 6 alternated pairs, no bytecode cache, Python
+    # 3.11, 2 vCPUs).  A new memo joins this list with a measurement that
+    # it pays for itself.
     memos = sorted(f"{path.stem}.{name}" for path in _SRC
                    for name in memoized_functions(path.read_text()))
     assert memos == ["cli.build_parser", "enumeration._factor_row"]

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.numberfields.basis import round_two
 
+from cubictrace import padic
 from cubictrace.padic import (_BRUTE_FORCE_PRIME, SplittingType, _fp_roots,
                               dedekind_index_test, roots_mod_p, splitting_type,
                               valuation)
@@ -23,14 +25,15 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-def refuses_in_child(call: str) -> bool:
-    """Whether `call` raises ValueError in a fresh interpreter; the run is
-    cut after 30 s, so a call that loops fails instead of hanging."""
-    script = ("from cubictrace.padic import splitting_type, valuation\n"
+def refuses_in_child(call: str, error: str = "ValueError") -> bool:
+    """Whether `call` raises `error` in a fresh interpreter; the run is cut
+    after 30 s, so a call that loops fails instead of hanging."""
+    script = ("from cubictrace.arith import InconsistencyError\n"
+              "from cubictrace.padic import _split_roots, splitting_type, valuation\n"
               "from cubictrace.poly import TraceOnePoly\n"
               "f = TraceOnePoly(-2, 1)\n"
               f"try:\n    {call}\n"
-              "except ValueError:\n    raise SystemExit(0)\n"
+              f"except {error}:\n    raise SystemExit(0)\n"
               "raise SystemExit(1)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (SRC, os.environ.get("PYTHONPATH")))))
@@ -136,6 +139,21 @@ class TestFpRoots:
             coeffs.append(p * data.draw(st.integers(-3, 3)))
         assume(any(c % p for c in coeffs))
         assert _fp_roots(coeffs, p) == _brute_roots(coeffs, p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_cantor_zassenhaus_on_every_polynomial(self, p, monkeypatch):
+        # with the brute-force path off, every nonzero coefficient 4-tuple
+        # mod p goes through gcd(f, x^p - x) and the split
+        monkeypatch.setattr(padic, "_BRUTE_FORCE_PRIME", 2)
+        for coeffs in itertools.product(range(p), repeat=4):
+            if any(coeffs):
+                assert _fp_roots(coeffs, p) == _brute_roots(coeffs, p), coeffs
+
+    def test_split_of_an_irreducible_is_inconsistent(self):
+        # x^2 + 1 is irreducible mod 1031 = 3 (mod 4): no c splits it, and
+        # a split that tried every c without bound never returned
+        assert refuses_in_child("_split_roots((1, 0, 1), 1031)",
+                                "InconsistencyError")
 
     @pytest.mark.parametrize("p", [2, 1031])
     def test_zero_polynomial_rejected(self, p):
