@@ -9,7 +9,7 @@ from .enumeration import (EnumerationRow, enumerate_all, enumerate_field,
                           min_height)
 from .fields import FieldClass, conductor_of, field_invariants, is_isomorphic
 from .padic import (SplittingType, dedekind_index_test, roots_mod_p,
-                    splitting_type, valuation)
+                    splitting_type)
 from .poly import (ParseError, TraceOnePoly, discriminant, height_sq,
                    is_cyclic, is_irreducible, parse_poly)
 from .verify import (VerificationReport, formula3_divergences,
@@ -24,7 +24,6 @@ __all__ = [
     "EnumerationRow", "enumerate_all", "enumerate_field", "min_height",
     "FieldClass", "conductor_of", "field_invariants", "is_isomorphic",
     "SplittingType", "dedekind_index_test", "roots_mod_p", "splitting_type",
-    "valuation",
     "ParseError", "TraceOnePoly", "discriminant", "height_sq", "is_cyclic",
     "is_irreducible", "parse_poly",
     "VerificationReport", "formula3_divergences",

@@ -100,8 +100,6 @@ def _pollard_rho(n: int) -> int:
 
     Deterministic: the polynomial offset c is tried in order 1, 2, 3, ...
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -129,8 +127,6 @@ def _pollard_rho(n: int) -> int:
 
 
 def _factor_into(n: int, acc: dict[int, int]) -> None:
-    if n == 1:
-        return
     if is_prime(n):
         acc[n] = acc.get(n, 0) + 1
         return

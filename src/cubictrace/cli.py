@@ -9,7 +9,7 @@ import json
 import os
 import re
 import sys
-from itertools import compress
+from itertools import compress, islice
 
 from .eisenstein import ideal_counts_upto
 from .enumeration import enumerate_field
@@ -58,39 +58,46 @@ def _write_kernel(mask: bytes, sep: str) -> None:
         lead, digits = f"{sep}{t + 1}", _PADDED
 
 
-# identify's json up to the first residue, in json.dumps(indent=2)'s layout;
-# the phi(c)/3 residues follow in blocks
-_IDENTIFY_HEAD = ('{\n  "polynomial": %s,\n  "a": %d,\n  "b": %d,\n'
-                  '  "irreducible": true,\n  "cyclic": true,\n'
-                  '  "discriminant": %d,\n  "index_sq": %d,\n'
-                  '  "conductor": %d,\n  "field_discriminant": %d,\n'
-                  '  "tame": true,\n  "subgroup": [\n    ')
+# identify's (head, separator, tail) around the residues of ker chi: json in
+# json.dumps(indent=2)'s layout (str(f) needs no escape), text as list's repr
+_IDENTIFY = {
+    "json": ('{{\n  "polynomial": "{f}",\n  "a": {f.a},\n  "b": {f.b},\n'
+             '  "irreducible": true,\n  "cyclic": true,\n'
+             '  "discriminant": {disc},\n  "index_sq": {index_sq},\n'
+             '  "conductor": {k.conductor},\n  "field_discriminant": '
+             '{k.discriminant},\n  "tame": true,\n  "subgroup": [\n    ',
+             ",\n    ", "\n  ]\n}}\n"),
+    "text": ("polynomial:          {f}\n"
+             "irreducible:         true\n"
+             "cyclic:              true\n"
+             "disc(f):             {disc}\n"
+             "index^2:             {index_sq}\n"
+             "conductor:           {k.conductor}\n"
+             "field discriminant:  {k.discriminant}\n"
+             "tame:                true\n"
+             "splitting subgroup:  [", ", ", "] (mod {k.conductor})\n"),
+}
 
 
 def cmd_identify(args) -> int:
     f, k = _field_of(args.poly)
     mask = k._kernel_mask()  # ker chi; may refuse, so before any output
     disc = discriminant(f)
-    index_sq = disc // k.discriminant
-    if args.format == "json":
-        sys.stdout.write(_IDENTIFY_HEAD % (
-            json.dumps(str(f)), f.a, f.b, disc, index_sq, k.conductor,
-            k.discriminant))
-        _write_kernel(mask, ",\n    ")
-        sys.stdout.write("\n  ]\n}\n")
-        return EXIT_OK
-    print(f"polynomial:          {f}")
-    print("irreducible:         true")
-    print("cyclic:              true")
-    print(f"disc(f):             {disc}")
-    print(f"index^2:             {index_sq}")
-    print(f"conductor:           {k.conductor}")
-    print(f"field discriminant:  {k.discriminant}")
-    print("tame:                true")
-    sys.stdout.write("splitting subgroup:  [")  # list(ker chi)'s repr
-    _write_kernel(mask, ", ")
-    print(f"] (mod {k.conductor})")
+    fields = {"f": f, "k": k, "disc": disc, "index_sq": disc // k.discriminant}
+    head, sep, tail = _IDENTIFY[args.format]
+    sys.stdout.write(head.format_map(fields))
+    _write_kernel(mask, sep)
+    sys.stdout.write(tail.format_map(fields))
     return EXIT_OK
+
+
+def _write_json(obj) -> None:
+    """Write json.dumps(obj, indent=2) and a newline, joining the encoder's
+    pieces (none is empty) 4096 at a time, so the text is never held whole."""
+    pieces = json.JSONEncoder(indent=2).iterencode(obj)
+    while block := "".join(islice(pieces, 4096)):
+        sys.stdout.write(block)
+    sys.stdout.write("\n")
 
 
 def _enumerate_csv_lines(rows) -> list[str]:
@@ -112,11 +119,11 @@ def cmd_enumerate(args) -> int:
     if args.format == "csv":
         print("\n".join(_enumerate_csv_lines(rows)))
     elif args.format == "json":
-        print(json.dumps([{
+        _write_json([{
             "N": r.n, "height_sq": r.height_sq, "a": r.a,
             "count": r.count, "predicted": r.predicted,
             "polys": [str(f) for f in r.polys],
-        } for r in rows], indent=2))
+        } for r in rows])
     else:
         for r in rows:
             print(_table_line(k.conductor, r.n, r.polys[::-1]))  # b descending
@@ -184,8 +191,10 @@ def cmd_paper_tables(args) -> int:
 
 
 def _print_report(report, fmt: str) -> int:
-    print(json.dumps(report.to_json(), indent=2) if fmt == "json"
-          else report.to_text())
+    if fmt == "json":
+        _write_json(report.to_json())
+    else:
+        print(report.to_text())
     return EXIT_OK if report.overall else EXIT_FAIL
 
 

@@ -172,22 +172,17 @@ def _members(k: FieldClass, a: int) -> tuple[TraceOnePoly, ...]:
     alpha = -gamma_k * beta^3 for each primary beta of norm N = (1 - 3a)/c.
     beta's factor at a split p^e || N is pi^i conj(pi)^(e-i), 0 <= i <= e,
     whose cubes are row 0 of _factor_row(p, e); at an inert p^e it is
-    (-p)^(e/2) = 1 (mod 3), and an odd e leaves no beta.  A key that fits no
-    field at h = 1 - 3a (c does not divide h, or is not the product of
-    len(chi) primes = 1 (mod 3)) has no cubics.  Refuses h >= FACTOR_LIMIT,
-    where the census at a stops, whether or not c divides h."""
-    if a > 0:
-        raise ValueError(f"enumeration requires a <= 0, got a = {a}")
+    (-p)^(e/2) = 1 (mod 3), and an odd e leaves no beta.  For a <= 0: no
+    cubics if c does not divide h = 1 - 3a, and a ValueError if it does but
+    is not the product of len(chi) primes = 1 (mod 3).  Refuses
+    h >= FACTOR_LIMIT, where the census at a stops, whether or not c | h."""
     h = 1 - 3 * a
     if h >= FACTOR_LIMIT:
         raise _past_limit(h)
     n, rest = divmod(h, k.conductor)
     if rest:
         return ()
-    try:
-        ps = check_key(k)
-    except ValueError:
-        return ()
+    ps = check_key(k)
     alphas = [_neg_gamma(ps, k.character)]
     for p, e in factorize(n):
         if p % 3 == 2:

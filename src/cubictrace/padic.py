@@ -25,18 +25,6 @@ class SplittingType(enum.Enum):
     RAMIFIED = "ramified"
 
 
-def valuation(n: int, p: int) -> int:
-    if p < 2:
-        raise ValueError(f"valuation at {p} is undefined")
-    if n == 0:
-        raise ValueError("valuation of 0 is infinite")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 # ---------------------------------------------------------------------------
 # F_p[x] helpers.  Every divisor is monic: _fp_roots makes its input monic
 # once, and _pgcd each remainder it divides by.

@@ -242,9 +242,11 @@ def norm_proportionality_check(f: TraceOnePoly) -> VerificationReport:
     if not is_cyclic(f):
         raise ValueError(f"{f} is not cyclic")
     report = VerificationReport(f"norm-proportionality[{f}]")
-    xs = real_roots(f)
-    total = sum(xs)
-    qnorm_sq = sum(x * x for x in xs) - total * total / 3.0
+    # added left to right, as sum() did before Python 3.12 made it
+    # compensated: the same floats, so the same note, on every version
+    x0, x1, x2 = real_roots(f)
+    total = x0 + x1 + x2
+    qnorm_sq = x0 * x0 + x1 * x1 + x2 * x2 - total * total / 3.0
     target = (2.0 / 3.0) * height_sq(f)
     err = abs(qnorm_sq - target)
     report.add(f"|qnorm^2 - (2/3)H^2| < {NORM_TOLERANCE} * (2/3)H^2", True,

@@ -9,8 +9,7 @@ from cubictrace.arith import InconsistencyError, factorize, is_prime
 from cubictrace.eisenstein import _conj, _cornacchia, _mul, ideal_count
 from cubictrace.enumeration import classified_polys_for_a
 from cubictrace.fields import FieldClass
-from cubictrace.padic import (SplittingType, _fp_roots, _pnorm, roots_mod_p,
-                              valuation)
+from cubictrace.padic import SplittingType, _fp_roots, _pnorm, roots_mod_p
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic
 
 # disc(b) can be a square only where it is a square mod 8 * 9 * 5 * 7, and
@@ -173,6 +172,19 @@ def subgroup_closure(c: int, generators) -> set[int]:
 
 # ---------------------------------------------------------------------------
 # Lifting in Z_p and in the unramified cubic extension W of Z_p
+
+def valuation(n: int, p: int) -> int:
+    """The exponent of p in n != 0, by repeated division."""
+    if p < 2:
+        raise ValueError(f"valuation at {p} is undefined")
+    if n == 0:
+        raise ValueError("valuation of 0 is infinite")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
 
 def _shift_scale(coeffs, r: int, p: int):
     """G(r + p*y) for a degree <= 3 integer polynomial G, coefficients in y."""

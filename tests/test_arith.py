@@ -117,6 +117,33 @@ class TestFactorize:
         with pytest.raises(InconsistencyError, match="failed to split 1000003"):
             arith._pollard_rho(1000003)
 
+    def test_rho_and_its_recursion_see_only_odd_cofactors(self, monkeypatch):
+        # factorize hands _factor_into an m >= 2^20 with no prime factor below
+        # the bound, and rho splits a composite into two proper factors:
+        # every part is odd and >= 1031, and every composite rho sees is
+        # >= 1031^2 > 2^20, so neither needs a branch for n even or n = 1
+        rho, into = arith._pollard_rho, arith._factor_into
+        seen_rho, seen_into = [], []
+        monkeypatch.setattr(arith, "_pollard_rho",
+                            lambda n: seen_rho.append(n) or rho(n))
+        monkeypatch.setattr(arith, "_factor_into",
+                            lambda n, acc: seen_into.append(n) or into(n, acc))
+        cofactors = [(8, 1031 * 1033), (1, 1031 * 1033 * 1039), (1, 1031**3),
+                     (30, _ABOVE_TABLE), (9, 1_000_003 * 1_000_033)]
+        for small, m in cofactors:
+            n = small * m
+            assert factorize(n) == factorize_trial(n), n
+        assert {m for _, m in cofactors} <= set(seen_into)
+        assert len(seen_rho) == 6  # 1031 * 1033 * 1039 and 1031^3 split twice
+        assert all(n % 2 and n >= _TABLE_BOUND for n in seen_rho)
+        assert all(n % 2 and n >= 1031 for n in seen_into)
+        assert all(n % p for n in seen_into for p in arith._SMALL_PRIMES)
+
+    @pytest.mark.parametrize("n", [0, -7])
+    def test_below_one_refused(self, n):
+        with pytest.raises(ValueError, match=f"requires n >= 1, got {n}"):
+            factorize(n)
+
     def test_powers_of_two(self):
         for k in range(81):
             assert factorize(2**k) == (((2, k),) if k else ()), k

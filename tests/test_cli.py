@@ -2,7 +2,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -21,6 +20,7 @@ from cubictrace.enumeration import enumerate_field
 from cubictrace.fields import SUBGROUP_MAX, FieldClass, field_invariants
 from cubictrace.arith import InconsistencyError
 from cubictrace.poly import is_irreducible, parse_poly
+from conftest import child_env
 from oracles import zeta_coeffs_rows
 
 IDENTIFY_INPUT = inputs.identify_inputs(0)[0]  # (a, b, conductor)
@@ -30,8 +30,6 @@ K169_POLY = "t^3 - t^2 - 4t - 1"
 SLICED_POLY = "-10004,264559"
 # conductor 2999911, character (1,): 999970 residues, just under SUBGROUP_MAX
 EDGE_POLY = "-999970,-148217825"
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
 
 
 def run(capsys, *argv):
@@ -40,19 +38,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def spawn_env() -> dict:
-    """The environment of a fresh interpreter that imports this checkout,
-    with stdout block-buffered (PYTHONUNBUFFERED unset) as in a shell
-    pipeline."""
-    return dict(os.environ, PYTHONUNBUFFERED="", PYTHONPATH=os.pathsep.join(
-        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+# a child's stdout is block-buffered (PYTHONUNBUFFERED unset), as in a
+# shell pipeline
+SPAWN_ENV = dict(child_env(), PYTHONUNBUFFERED="")
 
 
 def spawn(*argv):
     """The CLI in a fresh interpreter, so no in-process cache is shared."""
     return subprocess.Popen([sys.executable, "-m", "cubictrace.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=spawn_env())
+                            env=SPAWN_ENV)
 
 
 CLI_MAIN = "from cubictrace.cli import main\ncode = main(sys.argv[1:])\n"
@@ -70,7 +65,7 @@ def peak_child(argv, stdout, body=CLI_MAIN) -> tuple[bytes, int]:
               "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1], file=sys.stderr)\n"
               "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", script, *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=spawn_env(), timeout=120)
+                          stderr=subprocess.PIPE, env=SPAWN_ENV, timeout=120)
     assert proc.returncode == 0
     return proc.stdout, int(proc.stderr)
 
@@ -319,6 +314,29 @@ class TestEnumerate:
         assert exc.value.code == 2
 
 
+class TestWriteJson:
+    def test_matches_json_dumps_across_blocks(self, monkeypatch):
+        # 15181 of the encoder's pieces: three full blocks and a cut one
+        obj = {"rows": [{"N": n, "ok": n % 2 == 0, "a": None if n % 3 else -n,
+                         "polys": [str(n)] * (n % 3)} for n in range(700)],
+               "empty": [], "none": {}}
+        writes = []
+        monkeypatch.setattr(sys.stdout, "write", writes.append)
+        cli._write_json(obj)
+        assert "".join(writes) == json.dumps(obj, indent=2) + "\n"
+        assert len(writes) == 5  # three full blocks, the rest, the newline
+
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    def test_json_in_bounded_memory(self, command):
+        # at --max-norm 100000 the json text built whole before printing
+        # peaked at 187 MB (enumerate) and 154 MB (verify); written a block
+        # at a time, the rows and their dicts take about 70 MB
+        _, peak_kb = peak_child([command, "--field", K49_POLY, "--max-norm",
+                                 "100000", "--format", "json"],
+                                subprocess.DEVNULL)
+        assert peak_kb < 100 * 1024
+
+
 class TestCount:
     def test_row_7x13(self, capsys):
         code, out, _ = run(capsys, "count", "--field", K49_POLY, "-a", "-30")
@@ -558,6 +576,17 @@ class TestExitPaths:
         assert exc.value.code == EXIT_USAGE == 2
         assert "invalid choice: 'csv'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--field", "-2,1", "--max-norm", "0"),
+        ("verify", "--field", "-2,1", "--max-norm", "0"),
+        ("zeta-coeffs", "--max", "0"),
+    ], ids=lambda argv: argv[0])
+    def test_bound_below_one_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE == 2
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, lines_read", [
         # about 200 kB of CSV, more than the pipe holds: print fails
         (("zeta-coeffs", "--max", "20000", "--format", "csv"), 1),
@@ -583,7 +612,7 @@ class TestExitPaths:
             "cli.field_invariants = broken\n"
             "sys.exit(cli.main(['isomorphic', '-2,1', '-4,-1']))\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              env=spawn_env(), timeout=60)
+                              env=SPAWN_ENV, timeout=60)
         assert proc.returncode == EXIT_INTERNAL == 4
         assert proc.stdout == b""
         assert proc.stderr == b"error: broken invariant\n"

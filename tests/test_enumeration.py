@@ -267,9 +267,10 @@ class TestEnumerateField:
                     f for f, kk in classified_polys_for_a(a) if kk == k), (k, a)
                 pairs += 1
         assert pairs == 8350
-        # 7 * 13 = 91 with one exponent: the first prime's pattern alone is
-        # K_49's (b = -41 and 43), but the key fits no pattern at a = -30
-        assert _members(FieldClass(91, (1,)), -30) == ()
+        # 7 * 13 = 91 with one exponent is no key (the first prime's pattern
+        # alone is K_49's, b = -41 and 43): refused, not read as no cubics
+        with pytest.raises(ValueError, match="distinct primes"):
+            _members(FieldClass(91, (1,)), -30)
         assert _members(FieldClass(7, (1,)), -30) == (TraceOnePoly(-30, -41),
                                                       TraceOnePoly(-30, 43))
         # conductors that do not divide h = 7 * 13, or are not squarefree

@@ -14,12 +14,11 @@ from cubictrace.enumeration import (classified_polys_for_a, enumerate_all,
 from cubictrace import fields
 from cubictrace.fields import (FieldClass, _cube_labels, check_key,
                                conductor_of, field_invariants, is_isomorphic)
-from cubictrace.padic import valuation
 from cubictrace.poly import TraceOnePoly, discriminant, is_irreducible
 from cubictrace.verify import verify_corollary
 from oracles import (_index, _square_disc_bs, conductor_padic, cubic_character,
                      euler_phi, field_class_oracle, omega_mod_pi,
-                     split_prime_closure, square_disc_bs_scan)
+                     split_prime_closure, square_disc_bs_scan, valuation)
 
 _SPLIT_PRIMES = [p for p in range(7, 200) if p % 3 == 1 and is_prime(p)]
 _INERT_PRIMES = [p for p in range(2, 50) if p % 3 == 2 and is_prime(p)]

@@ -7,12 +7,13 @@ a new cache is added on purpose.  A fresh interpreter checks what importing
 the CLI loads."""
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = sorted((_ROOT / "src" / "cubictrace").glob("*.py"))
@@ -202,9 +203,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # dataclasses and the inspect it imports cost about 6 ms of start-up
     script = ("import sys\nbefore = set(sys.modules)\nimport cubictrace.cli\n"
               "print(*sorted(set(sys.modules) - before))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(_ROOT / "src"), os.environ.get("PYTHONPATH")))))
-    added = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                           capture_output=True, text=True).stdout.split()
+    added = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                           check=True, capture_output=True,
+                           text=True).stdout.split()
     assert "cubictrace.cli" in added
     assert not {"dataclasses", "inspect"} & set(added)

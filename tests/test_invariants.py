@@ -2,13 +2,11 @@
 hold under `python -O` too.  Each test breaks one invariant by
 monkeypatching, in a fresh `python -O` interpreter."""
 
-import os
 import subprocess
 import sys
 import textwrap
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+from conftest import child_env
 
 
 def raises_inconsistency_under_O(body: str) -> bool:
@@ -20,9 +18,8 @@ def raises_inconsistency_under_O(body: str) -> bool:
             sys.exit(0)
         sys.exit(1)
     """)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-O", "-c", script], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-O", "-c", script],
+                          env=child_env()).returncode == 0
 
 
 def test_square_disc_b_outside_b_range_in_enumeration():

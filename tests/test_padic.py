@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 import subprocess
 import sys
@@ -11,34 +10,30 @@ from sympy.polys.numberfields.basis import round_two
 
 from cubictrace import padic
 from cubictrace.padic import (_BRUTE_FORCE_PRIME, SplittingType, _fp_roots,
-                              dedekind_index_test, roots_mod_p, splitting_type,
-                              valuation)
+                              dedekind_index_test, roots_mod_p, splitting_type)
 from cubictrace.arith import FACTOR_LIMIT, SizeLimitError, factorize, is_prime
 from cubictrace.enumeration import classified_polys_for_a, enumerate_all
 from cubictrace.fields import is_isomorphic
 from cubictrace.poly import TraceOnePoly, discriminant, is_cyclic, is_irreducible
 
+from conftest import child_env
 from oracles import (lift_root_unramified, lift_root_zp, lift_root_zp_bfs,
-                     splitting_type_padic)
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+                     splitting_type_padic, valuation)
 
 
 def refuses_in_child(call: str, error: str = "ValueError") -> bool:
     """Whether `call` raises `error` in a fresh interpreter; the run is cut
     after 30 s, so a call that loops fails instead of hanging."""
     script = ("from cubictrace.arith import InconsistencyError\n"
-              "from cubictrace.padic import _split_roots, splitting_type, valuation\n"
+              "from cubictrace.padic import _split_roots, splitting_type\n"
+              "from oracles import valuation\n"
               "from cubictrace.poly import TraceOnePoly\n"
               "f = TraceOnePoly(-2, 1)\n"
               f"try:\n    {call}\n"
               f"except {error}:\n    raise SystemExit(0)\n"
               "raise SystemExit(1)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-c", script], env=env,
-                          timeout=30).returncode == 0
+    return subprocess.run([sys.executable, "-c", script],
+                          env=child_env(tests=True), timeout=30).returncode == 0
 
 
 class TestValuation:
