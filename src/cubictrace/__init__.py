@@ -8,8 +8,6 @@ from .eisenstein import (formula3_count, ideal_count, ideal_count_oracle,
 from .enumeration import (EnumerationRow, enumerate_all, enumerate_field,
                           min_height)
 from .fields import FieldClass, conductor_of, field_invariants, is_isomorphic
-from .padic import (SplittingType, dedekind_index_test, roots_mod_p,
-                    splitting_type)
 from .poly import (ParseError, TraceOnePoly, discriminant, height_sq,
                    is_cyclic, is_irreducible, parse_poly)
 from .verify import (VerificationReport, formula3_divergences,
@@ -23,7 +21,6 @@ __all__ = [
     "formula3_count", "ideal_count", "ideal_count_oracle", "series_coeff",
     "EnumerationRow", "enumerate_all", "enumerate_field", "min_height",
     "FieldClass", "conductor_of", "field_invariants", "is_isomorphic",
-    "SplittingType", "dedekind_index_test", "roots_mod_p", "splitting_type",
     "ParseError", "TraceOnePoly", "discriminant", "height_sq", "is_cyclic",
     "is_irreducible", "parse_poly",
     "VerificationReport", "formula3_divergences",

@@ -185,8 +185,3 @@ def formula3_count(n: int) -> int:
     over the p^k || n with p = 1 mod 3, from one factorize(n)."""
     return prod(k + 1 for p, k in factorize(n) if p % 3 == 1)
 
-
-def mod2_part_is_square(n: int) -> bool:
-    """Whether the part of n supported on primes = 2 mod 3 is a perfect square."""
-    return all(k % 2 == 0 for p, k in factorize(n) if p % 3 == 2)
-

@@ -29,35 +29,23 @@ class TraceOnePoly(namedtuple("TraceOnePoly", "a b")):
         return (3 * t - 2) * t + self.a
 
 
-_PAIR_RE = re.compile(r"^([+-]?\d+),([+-]?\d+)$")
-_TAIL_RE = re.compile(r"^(?P<lin>[+-](?:\d+\*?)?t)?(?P<const>[+-]\d+)?$")
+_PAIR_RE = re.compile(r"([+-]?)\s*(\d+)\s*,\s*([+-]?)\s*(\d+)")
+_POLY_RE = re.compile(r"t\s*\^\s*3\s*-\s*t\s*\^\s*2"
+                      r"(?:\s*([+-])\s*(?:(\d+)\s*\*?\s*)?t)?"  # +/- [a[*]]t
+                      r"(?:\s*([+-])\s*(\d+))?")                 # +/- b
 
 
 def parse_poly(text: str) -> TraceOnePoly:
-    """Parse 't^3 - t^2 + at + b' (either tail term optional) or a bare 'a,b' pair."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ParseError("empty polynomial string")
-    m = _PAIR_RE.match(s)
-    if m:
-        return TraceOnePoly(int(m.group(1)), int(m.group(2)))
-    if not s.startswith("t^3"):
-        tok = s.split("t", 1)[0] or s
-        raise ParseError(f"leading term must be t^3 with coefficient 1, got {tok!r}")
-    s = s[3:]
-    if not s.startswith("-t^2"):
-        raise ParseError(f"second term must be -t^2, got {s[:4] or '(nothing)'!r}")
-    s = s[4:]
-    m = _TAIL_RE.match(s)
-    if not m:
-        raise ParseError(f"malformed tail {s!r}: expected '+/- <int>t +/- <int>'")
-    lin, const = m.group("lin"), m.group("const")
-    a = 0
-    if lin:
-        digits = lin[1:-1].rstrip("*")
-        a = int(lin[0] + (digits or "1"))
-    b = int(const) if const else 0
-    return TraceOnePoly(a, b)
+    """Parse 't^3 - t^2 + at + b' (either tail term optional) or a bare 'a,b'
+    pair.  Whitespace may separate tokens but never splits a number."""
+    s = text.strip()
+    if m := _PAIR_RE.fullmatch(s):
+        return TraceOnePoly(int(m[1] + m[2]), int(m[3] + m[4]))
+    if m := _POLY_RE.fullmatch(s):
+        a_sign, a, b_sign, b = m.groups("")
+        return TraceOnePoly(int(a_sign + (a or "1")) if a_sign else 0,
+                            int(b_sign + b) if b_sign else 0)
+    raise ParseError(f"expected 't^3 - t^2 [+/- at] [+/- b]' or 'a,b', got {text!r}")
 
 
 def discriminant(f: TraceOnePoly) -> int:

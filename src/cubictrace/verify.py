@@ -7,8 +7,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .arith import InconsistencyError
-from .eisenstein import (formula3_count, ideal_count, mod2_part_is_square,
-                         series_coeff)
+from .eisenstein import formula3_count, ideal_count, series_coeff
 from .enumeration import _members, enumerate_field
 from .fields import FieldClass, check_key, field_invariants
 from .poly import TraceOnePoly, discriminant, height_sq, is_cyclic
@@ -145,19 +144,20 @@ def verify_formula3(k: FieldClass, n_max: int) -> VerificationReport:
     """Audit of sigma_0(P_1(N)) against the enumerated count.
 
     Divergences are expected exactly at N whose part supported on primes
-    = 2 mod 3 is a nonsquare; there they are reported as warnings, with the
-    true ideal count cross-checked.  A divergence at any other N fails.
+    = 2 mod 3 is a nonsquare, that is where d_N = 0; there the count is
+    compared with d_N and the check carries a note.  Elsewhere the count
+    is compared with the formula.
     """
     report = VerificationReport(f"formula3[{k}, N<={n_max}]")
     for row in enumerate_field(k, n_max):
-        n, count = row.n, row.count
+        n, count, d_n = row.n, row.count, row.predicted
         if n % 3 != 1:
             continue  # not realizable as (1-3a)/sqrt(D_K)
         formula = formula3_count(n)
-        if formula != count and not mod2_part_is_square(n):
-            report.add(f"N={n}", count, count,
+        if d_n == 0:
+            report.add(f"N={n}", d_n, count,
                        note=f"known divergence: formula {formula}, "
-                            f"enumerated {count}, ideal_count {ideal_count(n)}")
+                            f"enumerated {count}, ideal_count {d_n}")
         else:
             report.add(f"N={n}", formula, count)
     return report

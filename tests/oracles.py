@@ -141,6 +141,11 @@ def p1_part(n: int) -> int:
     return out
 
 
+def mod2_part_is_square(n: int) -> bool:
+    """Whether the part of n supported on primes = 2 mod 3 is a perfect square."""
+    return all(k % 2 == 0 for p, k in factorize(n) if p % 3 == 2)
+
+
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in factorize(n):

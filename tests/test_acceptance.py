@@ -165,7 +165,7 @@ def test_criterion_8_conductor_91_separation():
 
 
 def test_criterion_9_formula3_audit():
-    from cubictrace.eisenstein import mod2_part_is_square
+    from oracles import mod2_part_is_square
     divergences = formula3_divergences(K49, 22)
     ok = (divergences == [10, 22]
           and all(not mod2_part_is_square(n) for n in divergences))

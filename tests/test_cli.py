@@ -185,6 +185,14 @@ class TestIdentify:
         code, _, err = run(capsys, "identify", "--poly", "x^2 + 1")
         assert code == 3
 
+    @pytest.mark.parametrize("text", ["t^3 - t^2 - 3 7t + 29", "1 2,3",
+                                      "t^3 - t^2 - 2t + 1 0"])
+    def test_space_inside_a_number_exits_3(self, capsys, text):
+        code, out, err = run(capsys, "identify", "--poly", text)
+        assert (code, out) == (3, "")
+        assert err == ("error: expected 't^3 - t^2 [+/- at] [+/- b]' or 'a,b', "
+                       f"got {text!r}\n")
+
     def test_negative_pair(self, capsys):
         code, out, _ = run(capsys, "identify", "--poly", "-2,1")
         assert code == 0

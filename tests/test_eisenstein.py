@@ -10,9 +10,9 @@ from cubictrace.arith import (FACTOR_LIMIT, InconsistencyError, SizeLimitError,
 from cubictrace.eisenstein import (ORACLE_LIMIT, _cornacchia, _mul,
                                    _valuation_at, formula3_count, ideal_count,
                                    ideal_count_oracle, ideal_counts_upto,
-                                   mod2_part_is_square, series_coeff)
+                                   series_coeff)
 from oracles import (divisor_sum_chi3, divisor_sums_per_k,
-                     ideal_count_factorize, p1_part)
+                     ideal_count_factorize, mod2_part_is_square, p1_part)
 
 # 2^20: ideal_count walks the least-factor table below it, factors at and above
 _TABLE_BOUND = arith._TABLE_BOUND

@@ -200,11 +200,20 @@ def test_only_the_listed_globals_are_rebound():
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # the modules that `import cubictrace.cli` adds in a fresh interpreter,
     # compared inside the child, so what `site` loads first does not count;
-    # dataclasses and the inspect it imports cost about 6 ms of start-up
+    # dataclasses and the inspect it imports cost about 6 ms of start-up.
+    # No command calls padic, so the package root does not import it.
     script = ("import sys\nbefore = set(sys.modules)\nimport cubictrace.cli\n"
               "print(*sorted(set(sys.modules) - before))\n")
     added = subprocess.run([sys.executable, "-c", script], env=child_env(),
                            check=True, capture_output=True,
                            text=True).stdout.split()
     assert "cubictrace.cli" in added
-    assert not {"dataclasses", "inspect"} & set(added)
+    assert not {"dataclasses", "inspect", "cubictrace.padic"} & set(added)
+
+
+def test_package_root_exports_nothing_of_padic():
+    import cubictrace
+    padic = _ROOT / "src" / "cubictrace" / "padic.py"
+    padic_names = defined_names(padic.read_text())
+    assert {"splitting_type", "roots_mod_p", "SplittingType"} <= set(padic_names)
+    assert not set(padic_names) & set(cubictrace.__all__)

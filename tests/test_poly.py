@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 import sympy
@@ -140,10 +141,39 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_poly(text)
 
+    @pytest.mark.parametrize("text", [
+        "t^3 - t^2 - 3 7t + 29",
+        "1 2,3",
+        "t^3 - t^2 - 2t + 1 0",
+    ])
+    def test_rejects_spaces_inside_a_number(self, text):
+        # once read as a = -37, a = 12 and b = 10
+        with pytest.raises(ParseError, match="or 'a,b', got "):
+            parse_poly(text)
+
+    @pytest.mark.parametrize("text,a,b", [
+        ("t ^ 3 - t ^ 2 - 2 t + 1", -2, 1),
+        ("  t^3 - t^2 - 37 * t + 29  ", -37, 29),
+        ("- 2 , 1", -2, 1),
+        ("t^3 - t^2 +t", 1, 0),
+    ])
+    def test_spaces_between_tokens(self, text, a, b):
+        assert parse_poly(text) == TraceOnePoly(a, b)
+
     @given(st.integers(-500, 500), st.integers(-500, 500))
     def test_str_roundtrip(self, a, b):
         f = TraceOnePoly(a, b)
         assert parse_poly(str(f)) == f
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**9, 10**9),
+           st.lists(st.integers(0, 3), min_size=12, max_size=12))
+    def test_tokens_joined_by_any_spaces(self, a, b, runs):
+        # the 12 tokens of str(f): t ^ 3 - t ^ 2, then sign |a| t sign |b|
+        f = TraceOnePoly(a, b)
+        tokens = re.findall(r"\d+|\S", str(f))
+        assert len(tokens) == 12
+        text = "".join(" " * n + tok for n, tok in zip(runs, tokens))
+        assert parse_poly(text) == f
 
     def test_ordering(self):
         polys = [TraceOnePoly(-2, 1), TraceOnePoly(-4, -1), TraceOnePoly(-2, 0)]

@@ -86,6 +86,26 @@ class TestFormula3:
         note = next(c.note for c in report.checks if c.name == "N=10")
         assert "formula 1" in note and "ideal_count 0" in note
 
+    def test_wrong_count_at_a_divergence_fails(self, monkeypatch):
+        # d_10 = 0: three cubics planted at N = 10 (a = -23) are compared
+        # with d_10, not with themselves
+        polys = tuple(TraceOnePoly(-23, b) for b in (1, 2, 3))
+
+        def planted(k, n_max):
+            return [row._replace(polys=polys) if row.n == 10 else row
+                    for row in enumeration.enumerate_field(k, n_max)]
+        monkeypatch.setattr(verify, "enumerate_field", planted)
+        report = verify_formula3(K49, 22)
+        assert not report.overall
+        check = next(c for c in report.checks if c.name == "N=10")
+        assert (check.expected, check.actual, check.passed) == (0, 3, False)
+
+    def test_reads_d_n_from_the_rows(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"ideal_count({n})")
+        monkeypatch.setattr(verify, "ideal_count", refuse)
+        assert formula3_divergences(K49, 100)
+
     def test_golden_digest(self):
         # sha256 of the whole report to N = 100: 12 known divergences among
         # 34 checks, every name, value and note.
