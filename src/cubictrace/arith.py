@@ -5,9 +5,9 @@ while the cofactor is at least 2^20.  Below 2^20 those primes decide
 primality, so it reads each remaining prime from _LEAST_FACTOR, one byte
 per odd m < 2^20 (512 KB, built at import in about 2 ms).  A cofactor of
 2^20 or more with no prime below 2^10 goes to Miller-Rabin and Pollard rho.
-The table has one other reader, _ideal_count_walk, which gives
-eisenstein.ideal_count its d_n for n < 2^20 without building a
-factorization, so that the table's byte format stays known to this module.
+The table has one other reader, _ideal_count_sieve, which finds the primes
+below 2^20 in it to sieve eisenstein.ideal_count's table of d_n, so that
+the table's byte format stays known to this module.
 It refuses any n >= FACTOR_LIMIT (about 3.3 * 10^24) with a SizeLimitError:
 below that bound the Miller-Rabin witnesses prove primality, so a
 factorization is exact; above it one could silently be wrong.
@@ -19,7 +19,7 @@ deterministic, and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import chain, compress
 
 TRIAL_DIVISION_BOUND = 1 << 10
 
@@ -57,7 +57,7 @@ def _least_factor_table() -> bytearray:
     """Byte m >> 1, for odd m < _TABLE_BOUND, holds 1 + the index in
     _SMALL_PRIMES of m's least prime factor, or 0 when m is 1 or prime.  The
     primes run descending from m = p^2 on, so the least one writes last;
-    172 primes fit in a byte.  factorize and _ideal_count_walk read it."""
+    172 primes fit in a byte.  factorize and _ideal_count_sieve read it."""
     size = _TABLE_BOUND >> 1
     table = bytearray(size)
     for i in range(len(_SMALL_PRIMES) - 1, 0, -1):
@@ -189,31 +189,32 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _ideal_count_walk(n: int) -> int:
-    """d_n, the number of ideals of norm n in Q(sqrt(-3)), for
-    1 <= n < _TABLE_BOUND, in one pass over _LEAST_FACTOR that builds no
-    factorization.  p^k || n contributes k + 1 for p = 1 (mod 3), 1 for
-    p = 3 and for p = 2 (mod 3) with k even, and 0 for p = 2 (mod 3) with
-    k odd, which ends the walk: first at p = 2, from the low bits of n."""
-    k = (n & -n).bit_length() - 1  # v_2(n)
-    if k & 1:
-        return 0
-    m = n >> k
-    count = 1
-    while m > 1:
-        i = _LEAST_FACTOR[m >> 1]
-        if not i:  # m is prime
-            r = m % 3
-            return count * 2 if r == 1 else 0 if r == 2 else count
-        p = _SMALL_PRIMES[i - 1]
-        m //= p
-        k = 1
-        while m % p == 0:
-            m //= p
-            k += 1
+def _ideal_count_sieve(size: int) -> bytearray:
+    """d_n, the number of ideals of norm n in Q(sqrt(-3)), at index n for
+    0 < n < size <= _TABLE_BOUND, sieved with no factorization over the
+    primes: 2 and the odd m > 1 whose _LEAST_FACTOR byte is 0 (flagged 1 in
+    `odd`).  p = 1 (mod 3) maps the bytes at the multiples of each p^k by
+    v -> v(k+1)/k (steps[k - 1]; 7^k < size needs k < bits/2.8), so p^k || n
+    contributes k + 1; p = 2 (mod 3) zeroes the multiples of p^k for each
+    odd k but those of p^(k+1), which it saves and restores; p = 3
+    contributes 1.  Every byte holds d of a divisor of n, below 256."""
+    d = bytearray(b"\1") * size
+    steps = [bytes(v // k * (k + 1) & 255 for v in range(256))
+             for k in range(1, size.bit_length() // 2)]
+    odd = _LEAST_FACTOR[1:size >> 1].translate(b"\1" + bytes(255))
+    for p in chain((2,), compress(range(3, size, 2), odd)):
         if p % 3 == 1:
-            count *= k + 1
-        elif k & 1 and p != 3:
-            return 0
-    return count
-
+            q, k = p, 0
+            while q < size:
+                d[q::q] = d[q::q].translate(steps[k])
+                q, k = q * p, k + 1
+        elif p != 3:
+            q = p
+            while q * p < size:
+                kept = d[q * p::q * p]
+                d[q::q] = bytes((size - 1) // q)
+                d[q * p::q * p] = kept
+                q *= p * p
+            if q < size:
+                d[q::q] = bytes((size - 1) // q)
+    return d

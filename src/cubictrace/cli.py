@@ -140,7 +140,7 @@ def cmd_count(args) -> int:
     else:
         n = (1 - 3 * args.a) // k.conductor
         print(f"count = {count}  (predicted d_{n} = {predicted})")
-    return EXIT_OK
+    return EXIT_OK if count == predicted else EXIT_FAIL
 
 
 # rows per write: a multiple of 3, so every block starts at N = 1 (mod 3)

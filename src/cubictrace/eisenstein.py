@@ -7,7 +7,7 @@ from __future__ import annotations
 from math import isqrt, prod
 
 from .arith import (_TABLE_BOUND, InconsistencyError, SizeLimitError,
-                    _ideal_count_walk, factorize)
+                    _ideal_count_sieve, factorize)
 
 # ideal_count_oracle answers every N < ORACLE_LIMIT; its table takes one byte
 # per N, so 16 MB at the limit.
@@ -77,21 +77,29 @@ def _valuation_at(alpha: tuple[int, int], pi: tuple[int, int], p: int) -> int:
         alpha, v = (x // p, y // p), v + 1
 
 
+# d_N by N below 2^20, grown by ideal_count; empty until its first call
+_count_table = bytearray()
+
+
 def ideal_count(n: int) -> int:
     """Number of integral ideals of norm n in Q(sqrt(-3)).
 
     Multiplicative: p^k contributes k+1 for p = 1 mod 3, 1 for p = 3,
     1 for p = 2 mod 3 with k even, and kills the count for k odd.  Below
-    arith._TABLE_BOUND = 2^20 one pass over the least-factor table
-    (arith._ideal_count_walk) divides out each prime as it reads it and
-    returns 0 at the first p = 2 mod 3 with k odd, at an odd v_2(n) before
-    any table read; it never calls factorize.  At and above 2^20 the count
-    runs over factorize(n), so it refuses n >= FACTOR_LIMIT.
+    arith._TABLE_BOUND = 2^20 it reads a table of arith._ideal_count_sieve,
+    never factorize; the table is grown as the oracle's is, to the next
+    power of two above n (at least 2^12).  Each byte is exact: every value
+    sieved is d of a divisor of an N < 2^20, and the least N with d_N >= 256
+    is about 2.5e11 (_divisor_sums).  At and above 2^20 the count runs over
+    factorize(n), so it refuses n >= FACTOR_LIMIT.
     """
+    global _count_table
     if n < 1:
         raise ValueError(f"norm must be positive, got {n}")
     if n < _TABLE_BOUND:
-        return _ideal_count_walk(n)
+        if n >= len(_count_table):
+            _count_table = _ideal_count_sieve(max(1 << 12, 1 << n.bit_length()))
+        return _count_table[n]
     count = 1
     for p, k in factorize(n):
         if p % 3 == 1:

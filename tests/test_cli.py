@@ -12,7 +12,7 @@ import inputs
 import pytest
 from hypothesis import given, strategies as st
 
-from cubictrace import arith, cli, eisenstein, enumeration, fields
+from cubictrace import arith, cli, eisenstein, enumeration, fields, verify
 from cubictrace.arith import FACTOR_LIMIT
 from cubictrace.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_USAGE, main
 from cubictrace.eisenstein import ORACLE_LIMIT, ideal_count, series_coeff
@@ -366,6 +366,15 @@ class TestCount:
     def test_positive_a_invalid(self, capsys):
         code, _, err = run(capsys, "count", "--field", K49_POLY, "-a", "2")
         assert code == 3
+
+    def test_exits_1_when_the_count_is_not_predicted(self, capsys,
+                                                     monkeypatch):
+        # one of the two cubics at a = -30 goes missing: the same line,
+        # and a verification failure
+        members = verify._members
+        monkeypatch.setattr(verify, "_members", lambda k, a: members(k, a)[1:])
+        code, out, _ = run(capsys, "count", "--field", K49_POLY, "-a", "-30")
+        assert (code, out) == (1, "count = 1  (predicted d_13 = 2)\n")
 
     def test_walks_one_pattern_at_the_14_prime_height(self):
         # h = 1 - 3a is 7 times the 13 next split primes, the most below

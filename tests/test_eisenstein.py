@@ -14,7 +14,8 @@ from cubictrace.eisenstein import (ORACLE_LIMIT, _cornacchia, _mul,
 from oracles import (divisor_sum_chi3, divisor_sums_per_k,
                      ideal_count_factorize, mod2_part_is_square, p1_part)
 
-# 2^20: ideal_count walks the least-factor table below it, factors at and above
+# 2^20: ideal_count reads the table arith._ideal_count_sieve builds from the
+# least-factor table below it, factors at and above
 _TABLE_BOUND = arith._TABLE_BOUND
 
 
@@ -125,6 +126,38 @@ class TestIdealCount:
             assert ideal_count(m * n) == ideal_count(m) * ideal_count(n)
 
 
+class TestCountTable:
+    """ideal_count below 2^20 reads the sieved table; each test starts it
+    from an empty table."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(eisenstein, "_count_table", bytearray())
+
+    def test_values_survive_regrowth(self):
+        first = ideal_count(91)
+        small = eisenstein._count_table
+        assert len(small) == 1 << 12
+        assert ideal_count(5000) == divisor_sum_chi3(5000)
+        grown = eisenstein._count_table
+        assert len(grown) == 1 << 13 and grown[:len(small)] == small
+        assert ideal_count(91) == first == divisor_sum_chi3(91) == 4
+        assert eisenstein._count_table is grown
+
+    def test_grows_to_2_20_and_no_further(self):
+        # N >= 2^20 is factored and leaves the table as it is, empty or full
+        empty = eisenstein._count_table
+        assert ideal_count(_TABLE_BOUND) == ideal_count_factorize(_TABLE_BOUND)
+        assert eisenstein._count_table is empty and not empty
+        n = _TABLE_BOUND - 1
+        assert ideal_count(n) == ideal_count_factorize(n)
+        full = eisenstein._count_table
+        assert len(full) == _TABLE_BOUND
+        for n in (_TABLE_BOUND, 7 * _TABLE_BOUND, 10**12 + 39):
+            assert ideal_count(n) == ideal_count_factorize(n)
+        assert eisenstein._count_table is full
+
+
 class TestOracle:
     """ideal_count_oracle reads the divisor-sum sieve; each test starts it
     from an empty table."""
@@ -164,15 +197,18 @@ class TestOracle:
         assert below + above == [ideal_count_oracle(n) for n in range(1, top)]
 
     def test_catches_a_wrong_factorization(self, monkeypatch):
-        # a product of two primes = 1 (mod 3) reported as a prime = 1 (mod 3):
-        # the closed form counts 2 ideals, the divisor sum still 4.  Below
-        # 2^20 ideal_count reads its primes from the least-factor table, at
-        # and above it from factorize, so the lie is planted in each.
+        # a product of two primes = 1 (mod 3) reported as a prime = 1 (mod 3).
+        # Below 2^20 ideal_count's sieve reads its primes from the
+        # least-factor table, so it takes 1009 * 1033 for a third prime and
+        # counts 8 ideals; at and above 2^20 it reads factorize, and the
+        # closed form counts 2.  The divisor sum still counts 4.  The count
+        # table starts empty, so the sieve reads the planted table.
         small, large = 1009 * 1033, 1021 * 1033
         assert small < _TABLE_BOUND <= large < ORACLE_LIMIT
         table = bytearray(arith._LEAST_FACTOR)
         table[small >> 1] = 0  # marks small as prime
         monkeypatch.setattr(arith, "_LEAST_FACTOR", table)
+        monkeypatch.setattr(eisenstein, "_count_table", bytearray())
         factorize = arith.factorize
 
         def planted(m):
@@ -180,8 +216,8 @@ class TestOracle:
 
         for module in (arith, eisenstein):
             monkeypatch.setattr(module, "factorize", planted)
-        for n in (small, large):
-            assert (ideal_count(n), ideal_count_oracle(n)) == (2, 4), n
+        assert (ideal_count(small), ideal_count_oracle(small)) == (8, 4)
+        assert (ideal_count(large), ideal_count_oracle(large)) == (2, 4)
 
     def test_size_limit(self):
         for n in (ORACLE_LIMIT, 10**30):

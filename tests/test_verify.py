@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from cubictrace import arith, eisenstein, enumeration, fields, verify
+from cubictrace import arith, cli, eisenstein, enumeration, fields, verify
 from cubictrace.arith import FACTOR_LIMIT, InconsistencyError, SizeLimitError
+from cubictrace.eisenstein import ideal_count, ideal_count_oracle
 from cubictrace.fields import field_invariants
 from cubictrace.poly import TraceOnePoly
 from cubictrace.verify import (formula3_divergences,
@@ -14,6 +15,19 @@ from cubictrace.verify import (formula3_divergences,
 
 K49 = field_invariants(TraceOnePoly(-2, 1))
 K169 = field_invariants(TraceOnePoly(-4, -1))
+
+
+def _planted(n, polys):
+    """enumerate_field with polys in place of the row at N = n."""
+    def planted(k, n_max):
+        return [row._replace(polys=polys) if row.n == n else row
+                for row in enumeration.enumerate_field(k, n_max)]
+    return planted
+
+
+def _failed(report):
+    return [(c.name, c.expected, c.actual) for c in report.checks
+            if not c.passed]
 
 
 class TestTheorem:
@@ -36,8 +50,43 @@ class TestTheorem:
         assert report.overall
         assert [c.actual for c in report.checks] == [1, 0, 0]
 
+    def test_planted_cubic_fails_at_its_n(self, monkeypatch, capsys):
+        # one cubic more at N = 7 (a = -16), where d_7 = 2: the identity
+        # compares the count with d_7, not with itself, and the CLI exits 1
+        polys = enumeration._members(K49, -16)
+        assert len(polys) == 2
+        planted = _planted(7, polys + (TraceOnePoly(-16, 0),))
+        for module in (verify, cli):
+            monkeypatch.setattr(module, "enumerate_field", planted)
+        report = verify_theorem(K49, 40)
+        assert not report.overall and _failed(report) == [("N=7", 2, 3)]
+        assert cli.main(["verify", "--field=-2,1", "--max-norm", "40"]) == 1
+        assert "[FAIL] N=7: expected 2, got 3" in capsys.readouterr().out
+
+    def test_shifted_count_table_fails_at_that_n(self, monkeypatch):
+        # d_7 + 1 in a copy of ideal_count's table: the identity and the
+        # comparison with the divisor-sum oracle each fail at N = 7 alone
+        ideal_count(40)
+        table = bytearray(eisenstein._count_table)
+        table[7] += 1
+        monkeypatch.setattr(eisenstein, "_count_table", table)
+        report = verify_theorem(K49, 40)
+        assert not report.overall and _failed(report) == [("N=7", 3, 2)]
+        assert [n for n in range(1, 41)
+                if ideal_count(n) != ideal_count_oracle(n)] == [7]
+
 
 class TestCorollary:
+    def test_dropped_cubic_fails_at_its_a(self, monkeypatch):
+        # one of the two cubics at a = -30 (N = 13, d_13 = 2) goes missing
+        members = verify._members
+
+        def dropped(k, a):
+            return members(k, a)[1:] if a == -30 else members(k, a)
+        monkeypatch.setattr(verify, "_members", dropped)
+        report = verify_corollary(K49, -40)
+        assert not report.overall and _failed(report) == [("a=-30", 2, 1)]
+
     def test_k49(self):
         assert verify_corollary(K49, -100).overall
 
@@ -99,6 +148,14 @@ class TestFormula3:
         assert not report.overall
         check = next(c for c in report.checks if c.name == "N=10")
         assert (check.expected, check.actual, check.passed) == (0, 3, False)
+
+    def test_a_failing_divergence_is_not_listed(self, monkeypatch):
+        # three cubics planted at N = 10, where d_10 = 0: the audit fails
+        # there, so N = 10 is no longer a known divergence
+        polys = tuple(TraceOnePoly(-23, b) for b in (1, 2, 3))
+        monkeypatch.setattr(verify, "enumerate_field", _planted(10, polys))
+        assert verify_formula3(K49, 22).overall is False
+        assert formula3_divergences(K49, 22) == [22]
 
     def test_reads_d_n_from_the_rows(self, monkeypatch):
         def refuse(n):
