@@ -5,8 +5,10 @@ while the cofactor is at least 2^20.  Below 2^20 those primes decide
 primality, so it reads each remaining prime from _LEAST_FACTOR, one byte
 per odd m < 2^20 (512 KB, built at import in about 2 ms).  A cofactor of
 2^20 or more with no prime below 2^10 goes to Miller-Rabin and Pollard rho.
-The table has one other reader, _ideal_count_sieve, which finds the primes
-below 2^20 in it to sieve eisenstein.ideal_count's table of d_n, so that
+The table has one other reader, _ideal_count_sieve, which reads from it
+which n < 2^20 are primes = 1 and which = 2 (mod 3) to sieve
+eisenstein.ideal_count's table of d_n: the primes above the square root
+of its size in one slice per cofactor, those below it one at a time.  So
 the table's byte format stays known to this module.
 It refuses any n >= FACTOR_LIMIT (about 3.3 * 10^24) with a SizeLimitError:
 below that bound the Miller-Rabin witnesses prove primality, so a
@@ -19,7 +21,8 @@ deterministic, and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress
+from bisect import bisect
+from itertools import compress
 
 TRIAL_DIVISION_BOUND = 1 << 10
 
@@ -191,18 +194,35 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 def _ideal_count_sieve(size: int) -> bytearray:
     """d_n, the number of ideals of norm n in Q(sqrt(-3)), at index n for
-    0 < n < size <= _TABLE_BOUND, sieved with no factorization over the
-    primes: 2 and the odd m > 1 whose _LEAST_FACTOR byte is 0 (flagged 1 in
-    `odd`).  p = 1 (mod 3) maps the bytes at the multiples of each p^k by
-    v -> v(k+1)/k (steps[k - 1]; 7^k < size needs k < bits/2.8), so p^k || n
-    contributes k + 1; p = 2 (mod 3) zeroes the multiples of p^k for each
-    odd k but those of p^(k+1), which it saves and restores; p = 3
-    contributes 1.  Every byte holds d of a divisor of n, below 256."""
+    0 < n < size, 4 < size <= _TABLE_BOUND, in two passes split at
+    K = isqrt(size - 1), with no factorization.
+
+    Large primes.  Since (K + 1)^2 > size - 1, every n < size has at most
+    one prime factor p > K, and then n = m*p with m <= (size - 1) // (K + 1).
+    code[t] is 2 for a prime t = 1 (mod 3), 0 for a prime t = 2 (mod 3) and
+    1 for any other t, read from _LEAST_FACTOR.  One slice per m, m
+    ascending, copies code[t] to every n = m*t < size with t > K, so the
+    last write at n comes from the least t > K dividing n: p when n has a
+    prime factor p > K, and a composite t, which writes 1, when it has none.
+
+    Small primes.  The primes p <= K (_SMALL_PRIMES, as K < 2^10) multiply
+    in the rest, and their maps need no particular start value: p = 1
+    (mod 3) maps the bytes at the multiples of each p^k by v -> v(k+1)/k
+    (steps[k - 1]; 7^k < size needs k < bits/2.8), so p^k || n contributes
+    k + 1; p = 2 (mod 3) zeroes the multiples of p^k for each odd k but
+    those of p^(k+1), which it saves and restores; p = 3 contributes 1.
+    Every byte holds d of a divisor of n, below 256."""
+    K, half = math.isqrt(size - 1), size >> 1
+    code = bytearray(b"\1") * size
+    code[7::6] = _LEAST_FACTOR[3:half:3].translate(b"\2" + b"\1" * 255)
+    code[5::6] = _LEAST_FACTOR[2:half:3].translate(b"\0" + b"\1" * 255)
     d = bytearray(b"\1") * size
+    for m in range(1, (size - 1) // (K + 1) + 1):
+        hi = (size - 1) // m + 1
+        d[m * (K + 1):m * hi:m] = code[K + 1:hi]
     steps = [bytes(v // k * (k + 1) & 255 for v in range(256))
              for k in range(1, size.bit_length() // 2)]
-    odd = _LEAST_FACTOR[1:size >> 1].translate(b"\1" + bytes(255))
-    for p in chain((2,), compress(range(3, size, 2), odd)):
+    for p in _SMALL_PRIMES[:bisect(_SMALL_PRIMES, K)]:
         if p % 3 == 1:
             q, k = p, 0
             while q < size:

@@ -1,6 +1,12 @@
 """Arithmetic in Z[w] = Z[(-1 + sqrt(-3))/2], ideal counts in Q(sqrt(-3))
 and the Dirichlet coefficients of (1 - 3^{-s}) * zeta_{Q(sqrt(-3))}(s), plus
-the sigma_0(P_1(.)) closed form."""
+the sigma_0(P_1(.)) closed form.
+
+Both d_N functions read a table of d_N, one byte per N, that a miss grows
+to the next power of two: ideal_count's below 2^20 is sieved over the
+primes (arith._ideal_count_sieve, the primes above the square root of
+its size first), ideal_count_oracle's over the divisor sum.  A hit costs
+one index."""
 
 from __future__ import annotations
 
@@ -87,18 +93,23 @@ def ideal_count(n: int) -> int:
     Multiplicative: p^k contributes k+1 for p = 1 mod 3, 1 for p = 3,
     1 for p = 2 mod 3 with k even, and kills the count for k odd.  Below
     arith._TABLE_BOUND = 2^20 it reads a table of arith._ideal_count_sieve,
-    never factorize; the table is grown as the oracle's is, to the next
-    power of two above n (at least 2^12).  Each byte is exact: every value
-    sieved is d of a divisor of an N < 2^20, and the least N with d_N >= 256
-    is about 2.5e11 (_divisor_sums).  At and above 2^20 the count runs over
-    factorize(n), so it refuses n >= FACTOR_LIMIT.
+    never factorize, with one index when n is in it; a miss grows the table
+    as the oracle's is, to the next power of two above n (at least 2^12).
+    Each byte is exact: every value sieved is d of a divisor of an
+    N < 2^20, and the least N with d_N >= 256 is about 2.5e11
+    (_divisor_sums).  At and above 2^20 the count runs over factorize(n),
+    so it refuses n >= FACTOR_LIMIT.
     """
     global _count_table
+    try:
+        if n > 0:
+            return _count_table[n]
+    except IndexError:
+        pass
     if n < 1:
         raise ValueError(f"norm must be positive, got {n}")
     if n < _TABLE_BOUND:
-        if n >= len(_count_table):
-            _count_table = _ideal_count_sieve(max(1 << 12, 1 << n.bit_length()))
+        _count_table = _ideal_count_sieve(max(1 << 12, 1 << n.bit_length()))
         return _count_table[n]
     count = 1
     for p, k in factorize(n):
@@ -157,20 +168,24 @@ _oracle_table = bytearray()
 def ideal_count_oracle(n: int) -> int:
     """Same quantity by the independent divisor sum: d_n = sum_{d|n} chi3(d).
 
-    Read from a table of _divisor_sums, never from factorize.  The table is
-    built on first use and regrown to the next power of two above n (at
-    least 2^12), so ascending calls cost at most twice the final sieve.
-    Refuses n >= ORACLE_LIMIT with a SizeLimitError before allocating."""
+    Read from a table of _divisor_sums, never from factorize, with one
+    index when n is in it.  Only a miss looks at n: it refuses n < 1, and
+    n >= ORACLE_LIMIT with a SizeLimitError before allocating, or regrows
+    the table from scratch to the next power of two above n (at least
+    2^12), so ascending calls cost at most twice the final sieve."""
     global _oracle_table
+    try:
+        if n > 0:
+            return _oracle_table[n]
+    except IndexError:
+        pass
     if n < 1:
         raise ValueError(f"norm must be positive, got {n}")
     if n >= ORACLE_LIMIT:
         raise SizeLimitError(f"the divisor-sum oracle sieves only N < "
                              f"{ORACLE_LIMIT}, got {n}")
-    table = _oracle_table
-    if n >= len(table):
-        table = _oracle_table = _divisor_sums(max(1 << 12, 1 << n.bit_length()))
-    return table[n]
+    _oracle_table = _divisor_sums(max(1 << 12, 1 << n.bit_length()))
+    return _oracle_table[n]
 
 
 def ideal_counts_upto(n_max: int) -> memoryview:

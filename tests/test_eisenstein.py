@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 import sympy
@@ -121,7 +122,6 @@ class TestIdealCount:
     @given(st.integers(min_value=1, max_value=300),
            st.integers(min_value=1, max_value=300))
     def test_multiplicative_on_coprimes(self, m, n):
-        import math
         if math.gcd(m, n) == 1:
             assert ideal_count(m * n) == ideal_count(m) * ideal_count(n)
 
@@ -156,6 +156,33 @@ class TestCountTable:
         for n in (_TABLE_BOUND, 7 * _TABLE_BOUND, 10**12 + 39):
             assert ideal_count(n) == ideal_count_factorize(n)
         assert eisenstein._count_table is full
+
+    @pytest.mark.parametrize("sizes", [range(16, 3000), [_TABLE_BOUND]],
+                             ids=["every-size-below-3000", "2^20"])
+    def test_sieve_matches_divisor_sums(self, sizes):
+        # every size below 3000 crosses each K^2 + 1 and (K + 1)^2, where
+        # the large-prime pass's K = isqrt(size - 1) and its last m change;
+        # index 0 is no norm, and the two sieves leave it 1 and 0
+        for size in sizes:
+            assert arith._ideal_count_sieve(size)[1:] == \
+                eisenstein._divisor_sums(size)[1:], size
+
+    def test_full_tables_still_refuse(self, monkeypatch):
+        # a hit is one index, so the refusals must not be reachable through
+        # it: n < 1 would index from the end, and the oracle's table at its
+        # largest (filled with 1s here, not sieved, which takes 0.8 s) ends
+        # at ORACLE_LIMIT - 1
+        ideal_count(_TABLE_BOUND - 1)
+        assert len(eisenstein._count_table) == _TABLE_BOUND
+        monkeypatch.setattr(eisenstein, "_oracle_table",
+                            bytearray(b"\1") * ORACLE_LIMIT)
+        for f in (ideal_count, ideal_count_oracle):
+            for n in (0, -7):
+                with pytest.raises(ValueError, match="norm must be positive"):
+                    f(n)
+        assert ideal_count_oracle(ORACLE_LIMIT - 1) == 1
+        with pytest.raises(SizeLimitError, match="divisor-sum oracle"):
+            ideal_count_oracle(ORACLE_LIMIT)
 
 
 class TestOracle:
@@ -199,12 +226,17 @@ class TestOracle:
     def test_catches_a_wrong_factorization(self, monkeypatch):
         # a product of two primes = 1 (mod 3) reported as a prime = 1 (mod 3).
         # Below 2^20 ideal_count's sieve reads its primes from the
-        # least-factor table, so it takes 1009 * 1033 for a third prime and
+        # least-factor table, so it takes 7 * 13 for a third prime and
         # counts 8 ideals; at and above 2^20 it reads factorize, and the
         # closed form counts 2.  The divisor sum still counts 4.  The count
-        # table starts empty, so the sieve reads the planted table.
-        small, large = 1009 * 1033, 1021 * 1033
-        assert small < _TABLE_BOUND <= large < ORACLE_LIMIT
+        # table starts empty, so the sieve reads the planted table, built at
+        # 2^12.  Both primes of the planted product are at most that table's
+        # K = isqrt(2^12 - 1) = 63: the sieve's large-prime pass writes the
+        # least factor above K last, so a planted product with one (1009 *
+        # 1033 in the 2^20 table, 1033 > 1023) gets its true count, 4.
+        small, large = 7 * 13, 1021 * 1033
+        assert 13 <= math.isqrt((1 << 12) - 1) and small < 1 << 12
+        assert _TABLE_BOUND <= large < ORACLE_LIMIT
         table = bytearray(arith._LEAST_FACTOR)
         table[small >> 1] = 0  # marks small as prime
         monkeypatch.setattr(arith, "_LEAST_FACTOR", table)

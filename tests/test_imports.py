@@ -195,8 +195,11 @@ def test_only_the_listed_globals_are_rebound():
     # least-factor table it replaced, the bench's verify workload read
     # op_p50_ms 0.453 -> 0.209 and wall_s 0.0577 -> 0.0453 (medians of 10
     # alternated pairs, better in 10 of 10; Python 3.11.7, 2 vCPUs), and
-    # peak_rss_mb 20.06 -> 20.08.  A cache kept in a module variable joins
-    # this list on the same terms as a memo.
+    # peak_rss_mb 20.06 -> 20.08.  Sieving the large primes first and
+    # reading a hit with one index then took it to op_p50_ms 0.210 -> 0.137
+    # and wall_s 0.0454 -> 0.0262 (the same way), and peak_rss_mb
+    # 20.08 -> 20.18.  A cache kept in a module variable joins this list on
+    # the same terms as a memo.
     rebound = sorted(f"{path.stem}.{name}" for path in _SRC
                      for name in rebound_globals(path.read_text()))
     assert rebound == ["eisenstein._count_table", "eisenstein._oracle_table"]

@@ -189,6 +189,19 @@ class TestReproduceTables:
         monkeypatch.setattr(verify, "K49_TABLE_ROWS", tuple(rows))
         assert [c.passed for c in reproduce_tables().checks] == [False, True, True]
 
+    def test_shifted_count_table_fails_the_dn_table(self, monkeypatch, capsys):
+        # d_7 + 1 in a copy of ideal_count's table: the d_N table alone
+        # fails, as the polynomial tables print no d_N, and the CLI exits 1
+        ideal_count(97)
+        table = bytearray(eisenstein._count_table)
+        table[7] += 1
+        monkeypatch.setattr(eisenstein, "_count_table", table)
+        report = reproduce_tables()
+        assert not report.overall
+        assert [c.name for c in report.checks if not c.passed] == ["d_N table"]
+        assert cli.main(["paper-tables"]) == 1
+        assert "[FAIL] d_N table" in capsys.readouterr().out
+
     def test_deterministic_serialization(self):
         a = json.dumps(reproduce_tables().to_json())
         b = json.dumps(reproduce_tables().to_json())
@@ -238,3 +251,23 @@ class TestNormProportionality:
         x, y, z = real_roots(f)
         monkeypatch.setattr(verify, "real_roots", lambda g: (x + 1e-5, y, z))
         assert not norm_proportionality_check(f).overall
+
+    def test_shifted_root_fails_the_check_and_the_cli(self, monkeypatch, capsys):
+        # one root of t^3 - t^2 - 2t + 1 moved by 1e-6: its check fails,
+        # alone among the 18 cubics of K_49 to N = 43, and verify exits 1
+        f = TraceOnePoly(-2, 1)
+        roots = real_roots
+
+        def shifted(g):
+            x, y, z = roots(g)
+            return (x + 1e-6, y, z) if g == f else (x, y, z)
+        monkeypatch.setattr(verify, "real_roots", shifted)
+        report = norm_proportionality_check(f)
+        assert not report.overall
+        assert [c.name for c in report.checks if not c.passed] == [
+            "|qnorm^2 - (2/3)H^2| < 1e-09 * (2/3)H^2"]
+        assert cli.main(["verify", "--field=-2,1", "--max-norm", "43",
+                         "--check-norms"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[FAIL] |qnorm^2") == out.count("[FAIL]") == 1
+        assert out.count("[ok  ] |qnorm^2") == 17 and "(60/61 checks)" in out

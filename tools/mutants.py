@@ -65,6 +65,12 @@ MUTANTS = (
            "else:",
            ("tests/test_eisenstein.py::TestIdealCount",
             "tests/test_acceptance.py::test_criterion_3_oracle_equivalence")),
+    Mutant("M6", "the d_N sieve's large-prime pass runs m descending",
+           "arith.py",
+           "for m in range(1, (size - 1) // (K + 1) + 1):",
+           "for m in range((size - 1) // (K + 1), 0, -1):",
+           ("tests/test_eisenstein.py::TestIdealCount",
+            "tests/test_acceptance.py::test_criterion_3_oracle_equivalence")),
 )
 
 
