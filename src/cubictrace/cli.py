@@ -15,8 +15,9 @@ from .eisenstein import ideal_counts_upto
 from .enumeration import enumerate_field
 from .fields import FieldClass, field_invariants
 from .poly import TraceOnePoly, discriminant, is_irreducible, parse_poly
-from .verify import (_corollary_check, _table_line, _theorem_report,
-                     norm_proportionality_check, reproduce_tables)
+from .verify import (_corollary_check, _table_line,
+                     norm_proportionality_check, reproduce_tables,
+                     verify_theorem)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -177,10 +178,9 @@ def cmd_zeta_coeffs(args) -> int:
 
 def cmd_verify(args) -> int:
     _f, k = _field_of(args.field)
-    rows = enumerate_field(k, args.max_norm)
-    report = _theorem_report(k, rows)
+    report = verify_theorem(k, args.max_norm)
     if args.check_norms:
-        for row in rows:
+        for row in enumerate_field(k, args.max_norm):
             for f in row.polys:
                 report.checks += norm_proportionality_check(f).checks
     return _print_report(report, args.format)

@@ -14,8 +14,9 @@ A field's cubics need no walk.  For the key k = (c, chi = (e_p)), put
 gamma_k = prod_{p | c} pi_p^(e_p) conj(pi_p)^(3 - e_p), of norm c^3.  The
 cubics of k at H^2 = c*N are alpha = -gamma_k * beta^3, one for each
 primary beta (beta = 1 mod 3) of norm N, so one for each ideal of norm N:
-the identity d_N = #{cubics} made constructive.  enumerate_field scans the
-beta over a range of N; _members builds them at one a from N's factors.
+the identity d_N = #{cubics} made constructive.  _field_bs scans the beta
+over a range of N, and enumerate_field makes its rows; _members builds them
+at one a from N's factors.
 """
 
 from __future__ import annotations
@@ -204,10 +205,12 @@ def _members(k: FieldClass, a: int) -> tuple[TraceOnePoly, ...]:
     return tuple(TraceOnePoly(a, b) for b in bs)
 
 
-def enumerate_field(k: FieldClass, n_max: int) -> list[EnumerationRow]:
-    """Rows for N = 1 .. n_max; non-admissible N yield empty rows.  Since
-    c = 1 (mod 3), N is admissible exactly when N = 1 (mod 3), which is the
-    norm of every primary beta.
+def _field_bs(k: FieldClass, n_max: int) -> list[list[int]]:
+    """The b of k's cubics at each admissible N <= n_max, unsorted: entry i
+    holds those at N = 3i + 1.  Since c = 1 (mod 3), N is admissible exactly
+    when N = 1 (mod 3), which is the norm of every primary beta.  The one
+    builder of a field's cubics over a range of N: enumerate_field sorts its
+    b into rows of cubics, and verify_theorem and verify_formula3 count them.
 
     One scan, which factors no c*N, takes each primary beta = x + y w
     (x = 1, y = 0 mod 3) with N(beta) = ((2x - y)^2 + 3y^2)/4 <= n_max: for
@@ -227,7 +230,7 @@ def enumerate_field(k: FieldClass, n_max: int) -> list[EnumerationRow]:
         raise _past_limit(c * n_past)
     g = _neg_gamma(ps, k.character)
     gu, gv = 2 * g[0] - g[1], -g[0] - g[1]  # q = gu U + gv V
-    bs_at = [[] for _ in range(n_max // 3 + 1)]  # the b at N = 3i + 1 at i
+    bs_at = [[] for _ in range((n_max + 2) // 3)]
     y_max = isqrt(4 * n_max // 3)
     for y in range(-y_max + y_max % 3, y_max + 1, 3):
         s = isqrt(4 * n_max - 3 * y * y)
@@ -242,13 +245,20 @@ def enumerate_field(k: FieldClass, n_max: int) -> list[EnumerationRow]:
             if off or q * q >= 4 * h**3:
                 raise _bad_alpha(_mul(g, (U, V)), (1 - h) // 3)
             bs_at[n // 3].append(b)
+    return bs_at
+
+
+def enumerate_field(k: FieldClass, n_max: int) -> list[EnumerationRow]:
+    """Rows for N = 1 .. n_max, each with its cubics ascending in b, from the
+    scan _field_bs (see there for N's range and the refusals); non-admissible
+    N yield empty rows."""
+    bs_at = _field_bs(k, n_max)
+    c = k.conductor
     rows = []
     for n in range(1, n_max + 1):
         if n % 3 == 1:
             a = (1 - c * n) // 3
-            bs = bs_at[n // 3]
-            bs.sort()
-            polys = tuple(TraceOnePoly(a, b) for b in bs)
+            polys = tuple(TraceOnePoly(a, b) for b in sorted(bs_at[n // 3]))
             rows.append(EnumerationRow(n, a, polys, series_coeff(n)))
         else:
             rows.append(EnumerationRow(n, None, (), series_coeff(n)))

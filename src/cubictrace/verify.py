@@ -8,7 +8,8 @@ from collections import namedtuple
 
 from .arith import InconsistencyError
 from .eisenstein import formula3_count, ideal_count, series_coeff
-from .enumeration import _members, enumerate_field
+from .enumeration import (_field_bs, _members, classified_polys_for_a,
+                          enumerate_field)
 from .fields import FieldClass, check_key, field_invariants
 from .poly import TraceOnePoly, discriminant, height_sq, is_cyclic
 
@@ -104,28 +105,29 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _theorem_report(k: FieldClass, rows) -> VerificationReport:
-    """The identity on rows = enumerate_field(k, n_max), one per N."""
-    report = VerificationReport(f"theorem[{k}, N<={len(rows)}]")
-    for row in rows:
-        report.add(f"N={row.n}", row.predicted, row.count)
-    return report
-
-
 def verify_theorem(k: FieldClass, n_max: int) -> VerificationReport:
-    """Coefficientwise count identity: |F_K at N| = series coefficient."""
-    return _theorem_report(k, enumerate_field(k, n_max))
+    """Coefficientwise count identity at N = 1 .. n_max: the number of k's
+    cubics at H^2 = c*N, counted as the b the scan _field_bs finds (0 at an
+    N != 1 mod 3), against series_coeff(N).  No cubic is built."""
+    bs_at = _field_bs(k, n_max)
+    report = VerificationReport(f"theorem[{k}, N<={n_max}]")
+    for n in range(1, n_max + 1):
+        count = len(bs_at[n // 3]) if n % 3 == 1 else 0
+        report.add(f"N={n}", series_coeff(n), count)
+    return report
 
 
 def _corollary_check(k: FieldClass, a: int) -> tuple[int, int, str]:
     """(predicted, count, note) for the cubics at a with root field k: the
-    theorem's d_N at N = (1-3a)/c when c | 1-3a, else 0 predicted.  The
-    count comes first, so 1-3a past FACTOR_LIMIT is refused before N is
+    theorem's d_N at N = (1-3a)/c, against _members(k, a), when c | 1-3a;
+    else 0 predicted, against the census cubics at a keyed k.  The count
+    comes first, so 1-3a past FACTOR_LIMIT is refused before N is
     factored."""
     h2 = 1 - 3 * a
-    count = len(_members(k, a))
     if h2 % k.conductor:
+        count = sum(key == k for _f, key in classified_polys_for_a(a))
         return 0, count, f"{k.conductor} does not divide {h2}"
+    count = len(_members(k, a))
     return series_coeff(h2 // k.conductor), count, ""
 
 
@@ -149,11 +151,9 @@ def verify_formula3(k: FieldClass, n_max: int) -> VerificationReport:
     is compared with the formula.
     """
     report = VerificationReport(f"formula3[{k}, N<={n_max}]")
-    for row in enumerate_field(k, n_max):
-        n, count, d_n = row.n, row.count, row.predicted
-        if n % 3 != 1:
-            continue  # not realizable as (1-3a)/sqrt(D_K)
-        formula = formula3_count(n)
+    for i, bs in enumerate(_field_bs(k, n_max)):  # N = 3i + 1 = (1-3a)/c
+        n, count = 3 * i + 1, len(bs)
+        d_n, formula = series_coeff(n), formula3_count(n)
         if d_n == 0:
             report.add(f"N={n}", d_n, count,
                        note=f"known divergence: formula {formula}, "

@@ -503,9 +503,9 @@ class TestVerify:
         assert "PASS (43/43 checks)" in out
 
     def test_check_norms_neither_walks_nor_factors(self, capsys, monkeypatch):
-        # the rows come from the scan over primary beta, shared by both kinds
-        # of check: no census walk, and no c*N factored at any admissible N
-        # past N = 1, whose c*N = 7 is the conductor that keys the field
+        # the counts and the rows both come from the scan over primary beta:
+        # no census walk, and no c*N factored at any admissible N past
+        # N = 1, whose c*N = 7 is the conductor that keys the field
         walks, factored = [], []
         monkeypatch.setattr(enumeration, "classified_polys_for_a", walks.append)
         factorize = arith.factorize
@@ -517,6 +517,14 @@ class TestVerify:
         assert code == 0 and "PASS (61/61 checks)" in out
         assert walks == [] and factored
         assert not set(factored) & {7 * n for n in range(4, 44, 3)}
+
+    def test_text_in_bounded_memory(self):
+        # the identity counts the scan's b per N and builds no row or cubic:
+        # at --max-norm 100000 the child's VmHWM read 62.5 MB with a row and
+        # its cubics per N, and 45 MB without
+        _, peak_kb = peak_child(["verify", "--field", K49_POLY, "--max-norm",
+                                 "100000"], subprocess.DEVNULL)
+        assert peak_kb < 56 * 1024
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--field", K169_POLY,

@@ -5,10 +5,10 @@ import pytest
 
 from cubictrace import arith, cli, eisenstein, enumeration, fields, verify
 from cubictrace.arith import FACTOR_LIMIT, InconsistencyError, SizeLimitError
-from cubictrace.eisenstein import ideal_count, ideal_count_oracle
+from cubictrace.eisenstein import formula3_count, ideal_count, ideal_count_oracle
 from cubictrace.fields import field_invariants
 from cubictrace.poly import TraceOnePoly
-from cubictrace.verify import (formula3_divergences,
+from cubictrace.verify import (VerificationReport, formula3_divergences,
                                norm_proportionality_check, real_roots,
                                reproduce_tables, verify_corollary,
                                verify_formula3, verify_theorem)
@@ -17,11 +17,14 @@ K49 = field_invariants(TraceOnePoly(-2, 1))
 K169 = field_invariants(TraceOnePoly(-4, -1))
 
 
-def _planted(n, polys):
-    """enumerate_field with polys in place of the row at N = n."""
+def _planted(n, bs):
+    """The scan _field_bs with the b in bs in place of those at N = n, as
+    verify sees it: verify_theorem, verify_formula3 and the CLI's verify
+    count the scan's b, and build no row."""
     def planted(k, n_max):
-        return [row._replace(polys=polys) if row.n == n else row
-                for row in enumeration.enumerate_field(k, n_max)]
+        bs_at = enumeration._field_bs(k, n_max)
+        bs_at[n // 3] = list(bs)
+        return bs_at
     return planted
 
 
@@ -55,9 +58,8 @@ class TestTheorem:
         # compares the count with d_7, not with itself, and the CLI exits 1
         polys = enumeration._members(K49, -16)
         assert len(polys) == 2
-        planted = _planted(7, polys + (TraceOnePoly(-16, 0),))
-        for module in (verify, cli):
-            monkeypatch.setattr(module, "enumerate_field", planted)
+        monkeypatch.setattr(verify, "_field_bs",
+                            _planted(7, [f.b for f in polys] + [0]))
         report = verify_theorem(K49, 40)
         assert not report.overall and _failed(report) == [("N=7", 2, 3)]
         assert cli.main(["verify", "--field=-2,1", "--max-norm", "40"]) == 1
@@ -121,6 +123,23 @@ class TestCorollary:
             verify._corollary_check(K49, (1 - h) // 3)
         assert factored == []
 
+    def test_planted_pair_off_the_conductor_fails_at_its_a(self, monkeypatch,
+                                                           capsys):
+        # a = -31: 7 does not divide 1 - 3a = 94 = 2 * 47, so the census at a
+        # holds no cubic of K_49.  One pair keyed K_49 planted there is
+        # counted against the 0 predicted, by the corollary and by count
+        census = verify.classified_polys_for_a
+
+        def planted(a):
+            pairs = census(a)
+            return pairs + ((TraceOnePoly(a, 0), K49),) if a == -31 else pairs
+        monkeypatch.setattr(verify, "classified_polys_for_a", planted)
+        report = verify_corollary(K49, -40)
+        assert not report.overall and _failed(report) == [("a=-31", 0, 1)]
+        assert cli.main(["count", "--field=-2,1", "-a", "-31"]) == 1
+        assert capsys.readouterr().out == (
+            "count = 1  (predicted 0: 7 does not divide 94)\n")
+
 
 class TestFormula3:
     def test_no_divergence_small(self):
@@ -138,12 +157,7 @@ class TestFormula3:
     def test_wrong_count_at_a_divergence_fails(self, monkeypatch):
         # d_10 = 0: three cubics planted at N = 10 (a = -23) are compared
         # with d_10, not with themselves
-        polys = tuple(TraceOnePoly(-23, b) for b in (1, 2, 3))
-
-        def planted(k, n_max):
-            return [row._replace(polys=polys) if row.n == 10 else row
-                    for row in enumeration.enumerate_field(k, n_max)]
-        monkeypatch.setattr(verify, "enumerate_field", planted)
+        monkeypatch.setattr(verify, "_field_bs", _planted(10, (1, 2, 3)))
         report = verify_formula3(K49, 22)
         assert not report.overall
         check = next(c for c in report.checks if c.name == "N=10")
@@ -152,8 +166,7 @@ class TestFormula3:
     def test_a_failing_divergence_is_not_listed(self, monkeypatch):
         # three cubics planted at N = 10, where d_10 = 0: the audit fails
         # there, so N = 10 is no longer a known divergence
-        polys = tuple(TraceOnePoly(-23, b) for b in (1, 2, 3))
-        monkeypatch.setattr(verify, "enumerate_field", _planted(10, polys))
+        monkeypatch.setattr(verify, "_field_bs", _planted(10, (1, 2, 3)))
         assert verify_formula3(K49, 22).overall is False
         assert formula3_divergences(K49, 22) == [22]
 
@@ -169,6 +182,69 @@ class TestFormula3:
         text = json.dumps(verify_formula3(K49, 100).to_json())
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "106bcc5b27a5ffcc5edf8549c1cf1a184aace0710ed6555c597bf41b1ed55f7d")
+
+
+def _theorem_from_rows(k, rows):
+    """The identity on the public rows = enumerate_field(k, n_max), one
+    check per N, from each row's cubics."""
+    report = VerificationReport(f"theorem[{k}, N<={len(rows)}]")
+    for row in rows:
+        report.add(f"N={row.n}", row.predicted, row.count)
+    return report
+
+
+def _formula3_from_rows(k, rows):
+    """The formula audit on the public rows, one check per N = 1 (mod 3)."""
+    report = VerificationReport(f"formula3[{k}, N<={len(rows)}]")
+    for row in rows:
+        n, count, d_n = row.n, row.count, row.predicted
+        if n % 3 != 1:
+            continue
+        formula = formula3_count(n)
+        if d_n == 0:
+            report.add(f"N={n}", d_n, count,
+                       note=f"known divergence: formula {formula}, "
+                            f"enumerated {count}, ideal_count {d_n}")
+        else:
+            report.add(f"N={n}", formula, count)
+    return report
+
+
+class TestCountingPath:
+    """verify_theorem and verify_formula3 count the scan's b per N and build
+    no row; their reports must equal those rebuilt from enumerate_field."""
+
+    @pytest.fixture(scope="class")
+    def classes(self):
+        classes = [k for k in enumeration.enumerate_all(-66) if k.conductor <= 200]
+        assert len(classes) == 25
+        assert {k.character for k in classes if k.conductor == 91} == {
+            (1, 1), (1, 2)}
+        return classes
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 43, 100])
+    def test_reports_equal_the_rows(self, classes, n_max):
+        for k in classes:
+            rows = enumeration.enumerate_field(k, n_max)
+            for got, expected in (
+                    (verify_theorem(k, n_max), _theorem_from_rows(k, rows)),
+                    (verify_formula3(k, n_max), _formula3_from_rows(k, rows))):
+                assert got.subject == expected.subject, (k, n_max)
+                assert got.checks == expected.checks, (k, n_max)
+
+    @pytest.mark.parametrize("verify_fn", [verify_theorem, verify_formula3])
+    def test_refusals_come_before_any_check(self, monkeypatch, verify_fn):
+        # n_max = 0, and the least admissible N with 7N >= FACTOR_LIMIT
+        def refuse(n):
+            raise AssertionError(f"checked N = {n}")
+        monkeypatch.setattr(verify, "series_coeff", refuse)
+        monkeypatch.setattr(verify, "formula3_count", refuse)
+        with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+            verify_fn(K49, 0)
+        n_past = -(-FACTOR_LIMIT // 7)
+        n_past += (1 - n_past) % 3
+        with pytest.raises(SizeLimitError, match=f"cannot factor {7 * n_past}: "):
+            verify_fn(K49, n_past)
 
 
 class TestReproduceTables:

@@ -43,10 +43,10 @@ MUTANTS = (
            'return count, count, ""',
            ("tests/test_verify.py::TestCorollary",
             "tests/test_cli.py::TestCount")),
-    Mutant("M2", "_theorem_report compares the count with itself",
+    Mutant("M2", "verify_theorem compares the count with itself",
            "verify.py",
-           'report.add(f"N={row.n}", row.predicted, row.count)',
-           'report.add(f"N={row.n}", row.count, row.count)',
+           'report.add(f"N={n}", series_coeff(n), count)',
+           'report.add(f"N={n}", count, count)',
            ("tests/test_verify.py::TestTheorem",)),
     Mutant("M3", "_neg_gamma uses character exponent 1 at every prime",
            "enumeration.py",
@@ -71,6 +71,17 @@ MUTANTS = (
            "for m in range((size - 1) // (K + 1), 0, -1):",
            ("tests/test_eisenstein.py::TestIdealCount",
             "tests/test_acceptance.py::test_criterion_3_oracle_equivalence")),
+    Mutant("M7", "the beta scan drops the last x of each y",
+           "enumeration.py",
+           "(y + s) // 2 + 1",
+           "(y + s) // 2",
+           ("tests/test_verify.py::TestTheorem",
+            "tests/test_enumeration.py::TestEnumerateField")),
+    Mutant("M8", "the corollary's c-does-not-divide branch counts nothing",
+           "verify.py",
+           "count = sum(key == k for _f, key in classified_polys_for_a(a))",
+           "count = 0",
+           ("tests/test_verify.py::TestCorollary",)),
 )
 
 
