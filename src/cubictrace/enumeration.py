@@ -14,9 +14,8 @@ A field's cubics need no walk.  For the key k = (c, chi = (e_p)), put
 gamma_k = prod_{p | c} pi_p^(e_p) conj(pi_p)^(3 - e_p), of norm c^3.  The
 cubics of k at H^2 = c*N are alpha = -gamma_k * beta^3, one for each
 primary beta (beta = 1 mod 3) of norm N, so one for each ideal of norm N:
-the identity d_N = #{cubics} made constructive.  _field_bs scans the beta
-over a range of N, and enumerate_field makes its rows; _members builds them
-at one a from N's factors.
+the identity d_N = #{cubics} made constructive.  _field_bs scans the
+beta over a range of N; _members builds them at one a from N's factors.
 """
 
 from __future__ import annotations
@@ -206,11 +205,8 @@ def _members(k: FieldClass, a: int) -> tuple[TraceOnePoly, ...]:
 
 
 def _field_bs(k: FieldClass, n_max: int) -> list[list[int]]:
-    """The b of k's cubics at each admissible N <= n_max, unsorted: entry i
-    holds those at N = 3i + 1.  Since c = 1 (mod 3), N is admissible exactly
-    when N = 1 (mod 3), which is the norm of every primary beta.  The one
-    builder of a field's cubics over a range of N: enumerate_field sorts its
-    b into rows of cubics, and verify_theorem and verify_formula3 count them.
+    """The unsorted b of k's cubics at each admissible N <= n_max, entry i at
+    N = 3i + 1: as c = 1 (mod 3), the admissible N are those = 1 (mod 3).
 
     One scan, which factors no c*N, takes each primary beta = x + y w
     (x = 1, y = 0 mod 3) with N(beta) = ((2x - y)^2 + 3y^2)/4 <= n_max: for
@@ -249,10 +245,13 @@ def _field_bs(k: FieldClass, n_max: int) -> list[list[int]]:
 
 
 def enumerate_field(k: FieldClass, n_max: int) -> list[EnumerationRow]:
-    """Rows for N = 1 .. n_max, each with its cubics ascending in b, from the
-    scan _field_bs (see there for N's range and the refusals); non-admissible
-    N yield empty rows."""
-    bs_at = _field_bs(k, n_max)
+    """Rows for N = 1 .. n_max, cubics ascending in b, from the scan _field_bs
+    (see there for the refusals); non-admissible N yield empty rows."""
+    return _rows(k, n_max, _field_bs(k, n_max))
+
+
+def _rows(k: FieldClass, n_max: int, bs_at) -> list[EnumerationRow]:
+    """enumerate_field's rows from bs_at = _field_bs(k, n_max)."""
     c = k.conductor
     rows = []
     for n in range(1, n_max + 1):

@@ -8,8 +8,7 @@ from collections import namedtuple
 
 from .arith import InconsistencyError
 from .eisenstein import formula3_count, ideal_count, series_coeff
-from .enumeration import (_field_bs, _members, classified_polys_for_a,
-                          enumerate_field)
+from .enumeration import _field_bs, _members, enumerate_field
 from .fields import FieldClass, check_key, field_invariants
 from .poly import TraceOnePoly, discriminant, height_sq, is_cyclic
 
@@ -106,10 +105,13 @@ class VerificationReport:
 
 
 def verify_theorem(k: FieldClass, n_max: int) -> VerificationReport:
-    """Coefficientwise count identity at N = 1 .. n_max: the number of k's
-    cubics at H^2 = c*N, counted as the b the scan _field_bs finds (0 at an
-    N != 1 mod 3), against series_coeff(N).  No cubic is built."""
-    bs_at = _field_bs(k, n_max)
+    """Count identity at each N <= n_max: k's cubics at H^2 = c*N, counted as
+    the b _field_bs finds and built as none, against series_coeff(N)."""
+    return _identity_report(k, n_max, _field_bs(k, n_max))
+
+
+def _identity_report(k: FieldClass, n_max: int, bs_at) -> VerificationReport:
+    """verify_theorem's report from bs_at = _field_bs(k, n_max)."""
     report = VerificationReport(f"theorem[{k}, N<={n_max}]")
     for n in range(1, n_max + 1):
         count = len(bs_at[n // 3]) if n % 3 == 1 else 0
@@ -119,15 +121,13 @@ def verify_theorem(k: FieldClass, n_max: int) -> VerificationReport:
 
 def _corollary_check(k: FieldClass, a: int) -> tuple[int, int, str]:
     """(predicted, count, note) for the cubics at a with root field k: the
-    theorem's d_N at N = (1-3a)/c, against _members(k, a), when c | 1-3a;
-    else 0 predicted, against the census cubics at a keyed k.  The count
-    comes first, so 1-3a past FACTOR_LIMIT is refused before N is
+    theorem's d_N at N = (1-3a)/c when c | 1-3a, else 0 predicted.  The
+    count comes first, so 1-3a past FACTOR_LIMIT is refused before N is
     factored."""
     h2 = 1 - 3 * a
-    if h2 % k.conductor:
-        count = sum(key == k for _f, key in classified_polys_for_a(a))
-        return 0, count, f"{k.conductor} does not divide {h2}"
     count = len(_members(k, a))
+    if h2 % k.conductor:
+        return 0, count, f"{k.conductor} does not divide {h2}"
     return series_coeff(h2 // k.conductor), count, ""
 
 

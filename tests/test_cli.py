@@ -503,11 +503,14 @@ class TestVerify:
         assert "PASS (43/43 checks)" in out
 
     def test_check_norms_neither_walks_nor_factors(self, capsys, monkeypatch):
-        # the counts and the rows both come from the scan over primary beta:
+        # the counts and the rows both come from one scan over primary beta:
         # no census walk, and no c*N factored at any admissible N past
         # N = 1, whose c*N = 7 is the conductor that keys the field
-        walks, factored = [], []
+        walks, factored, scans = [], [], []
         monkeypatch.setattr(enumeration, "classified_polys_for_a", walks.append)
+        scan = cli._field_bs
+        monkeypatch.setattr(cli, "_field_bs",
+                            lambda k, n: scans.append(n) or scan(k, n))
         factorize = arith.factorize
         for module in (arith, eisenstein, enumeration, fields):
             monkeypatch.setattr(module, "factorize",
@@ -515,7 +518,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--field", K49_POLY,
                            "--max-norm", "43", "--check-norms")
         assert code == 0 and "PASS (61/61 checks)" in out
-        assert walks == [] and factored
+        assert walks == [] and factored and scans == [43]
         assert not set(factored) & {7 * n for n in range(4, 44, 3)}
 
     def test_text_in_bounded_memory(self):

@@ -77,11 +77,6 @@ MUTANTS = (
            "(y + s) // 2",
            ("tests/test_verify.py::TestTheorem",
             "tests/test_enumeration.py::TestEnumerateField")),
-    Mutant("M8", "the corollary's c-does-not-divide branch counts nothing",
-           "verify.py",
-           "count = sum(key == k for _f, key in classified_polys_for_a(a))",
-           "count = 0",
-           ("tests/test_verify.py::TestCorollary",)),
 )
 
 
